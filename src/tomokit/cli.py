@@ -5,6 +5,7 @@ phases from a slice bundle, evolve the classical oscillator pair (with
 optional initial-tomogram recovery), and measure completeness of a slice
 set.  Slices and trajectories are CSV, reports and manifests JSON; every
 failure exits nonzero with a single "ERROR <code>: ..." line on stderr.
+Each flag is validated once, by its ``type=`` callable in :func:`build_parser`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,29 +31,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InvalidArgumentError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one command invocation needs."""
-
-    command: str
-    grid: core.SpatialGrid
-    output: str
-    state: str | None = None
-    directions: tuple = ()
-    in_dir: str | None = None
-    breakpoints: tuple = ()
-    method: str = "nodes"
-    truth: str | None = None
-    omega: str | None = None
-    force: str = "constant:0"
-    t_max: float | None = None
-    dt: float | None = None
-    recover_at: tuple = ()
-    assume_pure: bool = False
-    noise: float = 0.0
-    seed: int = 0
 
 
 def _parse_grid(text: str) -> core.SpatialGrid:
@@ -86,18 +63,53 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         raise InvalidArgumentError(f"malformed {flag} value {text!r}") from None
 
 
-def _split_rate(text: str, flag: str):
-    name, _, rest = text.partition(":")
-    try:
-        params = [float(p) for p in rest.split(",")] if rest else []
-    except ValueError:
-        raise InvalidArgumentError(f"malformed {flag} value {text!r}") from None
-    return name, params
+def _parse_breakpoints(text: str) -> tuple[float, ...]:
+    cuts = _parse_float_list(text, "--breakpoints")
+    if not (np.all(np.isfinite(cuts)) and np.all(np.diff(cuts) > 0.0)):
+        raise InvalidArgumentError(
+            f"--breakpoints must be finite and strictly increasing, got {text!r}")
+    return cuts
 
 
-def _parse_rate(text: str, flag: str):
-    name, params = _split_rate(text, flag)
-    return dynamics.rate_preset(name, params)
+def _nonnegative(convert, flag: str):
+    """Parser of one finite, nonnegative number for ``flag``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise InvalidArgumentError(f"malformed {flag} value {text!r}") from None
+        if not 0 <= value < np.inf:
+            raise InvalidArgumentError(f"{flag} must be finite and nonnegative")
+        return value
+    return parse
+
+
+def _existing_dir(text: str) -> str:
+    if not os.path.isdir(text):
+        raise InvalidArgumentError(f"input directory {text!r} does not exist")
+    return text
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise InvalidArgumentError(f"truth state file {text!r} does not exist")
+    return text
+
+
+class _Rate(NamedTuple):
+    """A parsed --omega or --force preset."""
+
+    name: str
+    params: tuple[float, ...]
+    at: Callable[[float], float]
+
+
+def _parse_rate(flag: str):
+    def parse(text: str) -> _Rate:
+        name, _, rest = text.partition(":")
+        params = _parse_float_list(rest, flag) if rest else ()
+        return _Rate(name, params, dynamics.rate_preset(name, params))
+    return parse
 
 
 def _resolve_state(spec: str | None, grid: core.SpatialGrid) -> core.WaveFunction:
@@ -125,77 +137,10 @@ def _resolve_state(spec: str | None, grid: core.SpatialGrid) -> core.WaveFunctio
         "fock:n) nor an existing file")
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    def opt(attr, default=None):
-        return getattr(ns, attr, default)
-
-    seed = opt("seed", 0)
-    if seed < 0:
-        raise InvalidArgumentError("--seed must be nonnegative")
-    noise = opt("noise", 0.0)
-    if noise < 0.0:
-        raise InvalidArgumentError("--noise must be nonnegative")
-    in_dir = opt("in_dir")
-    if in_dir is not None and not os.path.isdir(in_dir):
-        raise InvalidArgumentError(f"input directory {in_dir!r} does not exist")
-    truth = opt("truth")
-    if truth is not None and not os.path.isfile(truth):
-        raise InvalidArgumentError(f"truth state file {truth!r} does not exist")
-    directions = tuple(_parse_direction(d) for d in opt("direction") or [])
-    breakpoints = (_parse_float_list(ns.breakpoints, "--breakpoints")
-                   if opt("breakpoints") else ())
-    recover_at = (_parse_float_list(ns.recover_at, "--recover-at")
-                  if opt("recover_at") else ())
-    return RunConfig(
-        command=ns.command,
-        grid=_parse_grid(opt("grid", _DEFAULT_GRID) or _DEFAULT_GRID),
-        output=opt("out", "."),
-        state=opt("state"),
-        directions=directions,
-        in_dir=in_dir,
-        breakpoints=breakpoints,
-        method=opt("method", "nodes"),
-        truth=truth,
-        omega=opt("omega"),
-        force=opt("force", "constant:0") or "constant:0",
-        t_max=opt("t_max"),
-        dt=opt("dt"),
-        recover_at=recover_at,
-        assume_pure=bool(opt("assume_pure", False)),
-        noise=noise,
-        seed=seed,
-    )
-
-
 def _ensure_outdir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
     if not os.access(path, os.W_OK):
         raise InvalidArgumentError(f"output directory {path!r} is not writable")
-
-
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("TOMOKIT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"TOMOKIT_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InvalidArgumentError("TOMOKIT_THREADS must be >= 0")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
-def _run_indexed(job, n: int) -> list:
-    """Run job(0..n-1), possibly in parallel, collecting in index order."""
-    if n == 0:
-        return []
-    workers = _worker_count(n)
-    if workers == 1:
-        return [job(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, range(n)))
 
 
 def _write_manifest(outdir: str, command: str, names, extra: dict | None = None) -> None:
@@ -217,24 +162,20 @@ def _noisy(s: transform.TomogramSlice, rel: float, seed: int,
                                    np.where(d < 0.0, 0.0, d), renormalize=True)
 
 
-def cmd_simulate(config: RunConfig) -> None:
-    if not config.directions:
+def cmd_simulate(args: argparse.Namespace) -> None:
+    if not args.direction:
         raise InvalidArgumentError("simulate needs at least one --direction")
-    _ensure_outdir(config.output)
-    psi = _resolve_state(config.state, config.grid)
-
-    def one(i: int) -> str:
-        mu, nu = config.directions[i]
+    _ensure_outdir(args.out)
+    psi = _resolve_state(args.state, args.grid)
+    names = []
+    for i, (mu, nu) in enumerate(args.direction):
         s = transform.tomogram(psi, mu, nu)
-        if config.noise > 0.0:
-            s = _noisy(s, config.noise, config.seed, i)
-        name = f"slice_{i:03d}.csv"
-        io.write_slice_csv(os.path.join(config.output, name), s)
-        return name
-
-    names = _run_indexed(one, len(config.directions))
-    _write_manifest(config.output, "simulate", names, {
-        "directions": [[float(m), float(n)] for m, n in config.directions]})
+        if args.noise > 0.0:
+            s = _noisy(s, args.noise, args.seed, i)
+        names.append(f"slice_{i:03d}.csv")
+        io.write_slice_csv(os.path.join(args.out, names[-1]), s)
+    _write_manifest(args.out, "simulate", names, {
+        "directions": [[float(m), float(n)] for m, n in args.direction]})
 
 
 def _load_slices(directory: str) -> list[transform.TomogramSlice]:
@@ -243,29 +184,23 @@ def _load_slices(directory: str) -> list[transform.TomogramSlice]:
     return [io.read_slice_csv(os.path.join(directory, n)) for n in names]
 
 
-def cmd_reconstruct(config: RunConfig) -> None:
-    if config.in_dir is None:
-        raise InvalidArgumentError("reconstruct needs --in")
-    _ensure_outdir(config.output)
-    position = None
-    extras = []
-    for s in _load_slices(config.in_dir):
-        if position is None and abs(s.mu - 1.0) <= 1e-12 and abs(s.nu) <= 1e-12:
-            position = s
-        else:
-            extras.append(s)
+def cmd_reconstruct(args: argparse.Namespace) -> None:
+    _ensure_outdir(args.out)
+    slices = _load_slices(args.in_dir)
+    position = next((s for s in slices if s.is_position), None)
     if position is None:
         raise InvalidArgumentError(
             "no position slice (mu, nu) = (1, 0) in the input directory")
-    if config.breakpoints:
-        bps = np.asarray(config.breakpoints, dtype=float)
-    elif config.method == "nodes":
+    extras = [s for s in slices if s is not position]
+    if args.breakpoints:
+        bps = np.asarray(args.breakpoints, dtype=float)
+    elif args.method == "nodes":
         bps = reconstruct.detect_nodes(position)
     else:
         raise InvalidArgumentError("--method piecewise needs --breakpoints")
-    report_path = os.path.join(config.output, "reconstruction.json")
+    report_path = os.path.join(args.out, "reconstruction.json")
     try:
-        if config.method == "nodes":
+        if args.method == "nodes":
             result = reconstruct.recover_phases_nodes(position, extras, bps)
         else:
             result = reconstruct.recover_phases_piecewise(bps, position, extras)
@@ -278,8 +213,8 @@ def cmd_reconstruct(config: RunConfig) -> None:
                "residual": result.residual,
                "condition_estimate": result.condition_estimate,
                "status": result.status}
-    if config.truth is not None:
-        truth = io.read_wavefunction_csv(config.truth)
+    if args.truth is not None:
+        truth = io.read_wavefunction_csv(args.truth)
         if truth.grid != position.grid:
             raise InvalidArgumentError(
                 "truth state and slices live on different grids")
@@ -288,74 +223,54 @@ def cmd_reconstruct(config: RunConfig) -> None:
             position.grid)
         payload["fidelity"] = float(abs(truth.inner(rebuilt)) ** 2)
     io.write_json(report_path, payload)
-    _write_manifest(config.output, "reconstruct", ["reconstruction.json"])
+    _write_manifest(args.out, "reconstruct", ["reconstruction.json"])
 
 
-def _recovery_omega(config: RunConfig) -> float:
+def _recovery_omega(args: argparse.Namespace) -> float:
     """Recovery synthesizes the position history itself, which needs a
     closed-form propagator: constant frequency, no driving force."""
-    name, params = _split_rate(config.omega, "--omega")
-    if name != "constant":
+    if args.omega.name != "constant":
         raise UnsupportedError(
             "--recover-at supports only a constant --omega preset")
-    fname, fparams = _split_rate(config.force, "--force")
-    if fname != "constant" or any(p != 0.0 for p in fparams):
+    if args.force.name != "constant" or any(p != 0.0 for p in args.force.params):
         raise UnsupportedError("--recover-at supports only zero --force")
-    return params[0]
+    return args.omega.params[0]
 
 
-def cmd_evolve(config: RunConfig) -> None:
-    if config.omega is None:
-        raise InvalidArgumentError("evolve needs --omega")
-    if config.t_max is None or config.dt is None:
-        raise InvalidArgumentError("evolve needs --t-max and --dt")
-    _ensure_outdir(config.output)
-    spec = dynamics.OscillatorSpec(_parse_rate(config.omega, "--omega"),
-                                   _parse_rate(config.force, "--force"),
-                                   config.t_max, config.dt)
+def cmd_evolve(args: argparse.Namespace) -> None:
+    _ensure_outdir(args.out)
+    spec = dynamics.OscillatorSpec(args.omega.at, args.force.at, args.t_max, args.dt)
     traj = dynamics.solve_epsilon_delta(spec)
-    io.write_trajectory_csv(os.path.join(config.output, "trajectory.csv"), traj)
+    io.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
     names = ["trajectory.csv"]
     recovered = []
-    if config.recover_at:
-        omega_value = _recovery_omega(config)
-        psi = _resolve_state(config.state, config.grid)
-        times = sorted(set(config.recover_at))
-        if times[0] < 0.0 or times[-1] > config.t_max:
+    if args.recover_at:
+        omega_value = _recovery_omega(args)
+        psi = _resolve_state(args.state, args.grid)
+        times = sorted(set(args.recover_at))
+        if times[0] < 0.0 or times[-1] > args.t_max:
             raise OutOfRangeError(
-                f"--recover-at times must lie in [0, {config.t_max!r}]")
+                f"--recover-at times must lie in [0, {args.t_max!r}]")
         history = dynamics.harmonic_position_history(psi, times, omega_value)
         for i, t in enumerate(times):
             s = dynamics.initial_tomogram_from_oscillator(history, traj, t)
             name = f"recovered_{i:03d}.csv"
-            io.write_slice_csv(os.path.join(config.output, name), s)
+            io.write_slice_csv(os.path.join(args.out, name), s)
             names.append(name)
             recovered.append({"file": name, "time": t})
-    _write_manifest(config.output, "evolve", names, {"recovered": recovered})
+    _write_manifest(args.out, "evolve", names, {"recovered": recovered})
 
 
-def cmd_measure(config: RunConfig) -> None:
-    if config.in_dir is None:
-        raise InvalidArgumentError("measure needs --in")
-    _ensure_outdir(config.output)
-    slices = _load_slices(config.in_dir)
+def cmd_measure(args: argparse.Namespace) -> None:
+    _ensure_outdir(args.out)
+    slices = _load_slices(args.in_dir)
     if not slices:
-        raise InvalidArgumentError(
-            f"no slice_*.csv files in {config.in_dir!r}")
+        raise InvalidArgumentError(f"no slice_*.csv files in {args.in_dir!r}")
     report = completeness.gaussian_completeness(
         completeness.MeasurementSet(tuple(slices)),
-        purity_assumed=config.assume_pure)
-    io.write_json(os.path.join(config.output, "completeness.json"),
-                  report.payload())
-    _write_manifest(config.output, "measure", ["completeness.json"])
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "reconstruct": cmd_reconstruct,
-    "evolve": cmd_evolve,
-    "measure": cmd_measure,
-}
+        purity_assumed=args.assume_pure)
+    io.write_json(os.path.join(args.out, "completeness.json"), report.payload())
+    _write_manifest(args.out, "measure", ["completeness.json"])
 
 
 def build_parser() -> _Parser:
@@ -365,40 +280,52 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write tomogram slice CSVs")
+    sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--state", required=True,
                      help="vacuum | gaussian:x0,p0,sigma | fock:n | CSV path")
-    sim.add_argument("--grid", default=_DEFAULT_GRID, help="x_min,x_max,n_points")
-    sim.add_argument("--direction", action="append", default=[],
-                     metavar="MU,NU", help="repeatable measurement direction")
-    sim.add_argument("--noise", type=float, default=0.0,
+    sim.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID,
+                     help="x_min,x_max,n_points")
+    sim.add_argument("--direction", type=_parse_direction, action="append",
+                     default=[], metavar="MU,NU",
+                     help="repeatable measurement direction")
+    sim.add_argument("--noise", type=_nonnegative(float, "--noise"), default=0.0,
                      help="relative multiplicative noise level")
-    sim.add_argument("--seed", type=int, default=0, help="noise RNG seed")
+    sim.add_argument("--seed", type=_nonnegative(int, "--seed"), default=0,
+                     help="noise RNG seed")
     sim.add_argument("--out", default=".", help="output directory")
 
     rec = sub.add_parser("reconstruct", help="recover segment phases from slices")
-    rec.add_argument("--in", dest="in_dir", required=True,
+    rec.set_defaults(handler=cmd_reconstruct)
+    rec.add_argument("--in", dest="in_dir", type=_existing_dir, required=True,
                      help="directory holding slice_*.csv")
-    rec.add_argument("--breakpoints", help="comma-separated cut positions")
+    rec.add_argument("--breakpoints", type=_parse_breakpoints,
+                     help="comma-separated cut positions")
     rec.add_argument("--method", choices=("nodes", "piecewise"),
                      default="nodes")
-    rec.add_argument("--truth", help="wavefunction CSV to score fidelity against")
+    rec.add_argument("--truth", type=_existing_file,
+                     help="wavefunction CSV to score fidelity against")
     rec.add_argument("--out", default=".", help="output directory")
 
     evo = sub.add_parser("evolve", help="integrate the oscillator pair")
-    evo.add_argument("--omega", required=True,
+    evo.set_defaults(handler=cmd_evolve)
+    evo.add_argument("--omega", type=_parse_rate("--omega"), required=True,
                      help="constant:w | linear-ramp:start,slope | "
                           "cosine-modulated:base,depth,rate")
-    evo.add_argument("--force", default="constant:0", help="same presets")
+    evo.add_argument("--force", type=_parse_rate("--force"),
+                     default="constant:0", help="same presets")
     evo.add_argument("--t-max", dest="t_max", type=float, required=True)
     evo.add_argument("--dt", type=float, required=True)
     evo.add_argument("--recover-at", dest="recover_at", metavar="T1,T2,...",
+                     type=lambda text: _parse_float_list(text, "--recover-at"),
                      help="recover the initial tomogram at these times")
     evo.add_argument("--state", help="initial state for recovery")
-    evo.add_argument("--grid", default=_DEFAULT_GRID, help="x_min,x_max,n_points")
+    evo.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID,
+                     help="x_min,x_max,n_points")
     evo.add_argument("--out", default=".", help="output directory")
 
     mea = sub.add_parser("measure", help="report completeness of a slice set")
-    mea.add_argument("--in", dest="in_dir", required=True,
+    mea.set_defaults(handler=cmd_measure)
+    mea.add_argument("--in", dest="in_dir", type=_existing_dir, required=True,
                      help="directory holding slice_*.csv")
     mea.add_argument("--assume-pure", dest="assume_pure", action="store_true")
     mea.add_argument("--out", default=".", help="output directory")
@@ -407,9 +334,8 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-        config = config_from_args(ns)
-        _COMMANDS[config.command](config)
+        args = build_parser().parse_args(argv)
+        args.handler(args)
     except TomokitError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -418,3 +344,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

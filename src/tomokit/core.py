@@ -21,7 +21,6 @@ __all__ = [
     "DensityMatrix",
     "GaussianPreset",
     "FockPreset",
-    "PiecewisePreset",
     "BoundaryLeakWarning",
     "make_grid",
     "default_grid",
@@ -172,16 +171,6 @@ class FockPreset:
             raise InvalidArgumentError("fock index must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class PiecewisePreset:
-    """Wraps a reconstruct.PiecewiseState for sampling."""
-
-    state: object
-
-
-StatePreset = GaussianPreset | FockPreset | PiecewisePreset
-
-
 def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     """Normalized Hermite functions h_0..h_n_max by the stable recurrence."""
     h = np.zeros((n_max + 1, x.size))
@@ -202,7 +191,7 @@ def _check_boundary(amps: np.ndarray, what: str) -> None:
             "grid may be too narrow", BoundaryLeakWarning, stacklevel=3)
 
 
-def sample_state(preset: StatePreset, grid: SpatialGrid) -> WaveFunction:
+def sample_state(preset: GaussianPreset | FockPreset, grid: SpatialGrid) -> WaveFunction:
     """Realize a preset on a grid as a normalized WaveFunction.
 
     Warns with :class:`BoundaryLeakWarning` when the boundary amplitude
@@ -218,9 +207,6 @@ def sample_state(preset: StatePreset, grid: SpatialGrid) -> WaveFunction:
             raise UnsupportedError(
                 f"fock index {preset.n} above validated maximum {FOCK_N_MAX}")
         amps = _hermite_functions(preset.n, x)[preset.n].astype(np.complex128)
-    elif isinstance(preset, PiecewisePreset):
-        from .reconstruct import assemble_state
-        return assemble_state(preset.state, grid)
     else:
         raise InvalidArgumentError(f"unknown state preset {preset!r}")
     _check_boundary(amps, f"sample_state({preset!r})")

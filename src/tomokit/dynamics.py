@@ -281,7 +281,7 @@ class PositionHistory:
         for s in slices:
             if not isinstance(s, TomogramSlice):
                 raise InvalidArgumentError("slices must be TomogramSlice objects")
-            if abs(s.mu - 1.0) > 1e-12 or abs(s.nu) > 1e-12:
+            if not s.is_position:
                 raise InvalidArgumentError(
                     f"history slice at ({s.mu!r}, {s.nu!r}) is not a position tomogram")
             if s.grid != grid:

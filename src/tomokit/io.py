@@ -58,24 +58,36 @@ def _grid_from_x(x: np.ndarray, path) -> SpatialGrid:
     return SpatialGrid(float(x[0]), float(dx), x.size)
 
 
-def _read_rows(path, n_columns: int, skip: int):
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; any other bytes are a ParseError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: bytes that are not UTF-8") from None
+
+
+def _parse_rows(path, lines: list[str], n_columns: int, skip: int) -> np.ndarray:
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno <= skip:
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != n_columns:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {n_columns} columns, got "
-                    f"{len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: malformed float") from None
+    for lineno, line in enumerate(lines[skip:], start=skip + 1):
+        parts = line.strip().split(",")
+        if len(parts) != n_columns:
+            raise ParseError(
+                f"{path}:{lineno}: expected {n_columns} columns, got "
+                f"{len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed float") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows)
+    data = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}:{skip + 1 + bad[0]}: non-finite number")
+    return data
 
 
 def write_slice_csv(path, s: TomogramSlice) -> None:
@@ -86,18 +98,19 @@ def write_slice_csv(path, s: TomogramSlice) -> None:
 
 
 def read_slice_csv(path) -> TomogramSlice:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        columns = fh.readline().strip()
+    lines = _read_lines(path)
+    header, columns = [line.strip() for line in (lines[:2] + ["", ""])[:2]]
     try:
         tags = dict(item.split("=", 1) for item in header.lstrip("# ").split())
         mu, nu = float(tags["mu"]), float(tags["nu"])
     except (KeyError, ValueError):
         raise ParseError(
             f"{path}:1: expected a '# mu=<float> nu=<float>' header") from None
+    if not (np.isfinite(mu) and np.isfinite(nu)):
+        raise ParseError(f"{path}:1: non-finite number")
     if columns != "X,density":
         raise ParseError(f"{path}:2: expected the column header 'X,density'")
-    data = _read_rows(path, 2, skip=2)
+    data = _parse_rows(path, lines, 2, skip=2)
     grid = _grid_from_x(data[:, 0], path)
     return TomogramSlice(mu, nu, grid, data[:, 1])
 
@@ -110,11 +123,10 @@ def write_wavefunction_csv(path, psi: WaveFunction) -> None:
 
 
 def read_wavefunction_csv(path) -> WaveFunction:
-    with open(path) as fh:
-        columns = fh.readline().strip()
-    if columns != "x,real,imag":
+    lines = _read_lines(path)
+    if not lines or lines[0].strip() != "x,real,imag":
         raise ParseError(f"{path}:1: expected the column header 'x,real,imag'")
-    data = _read_rows(path, 3, skip=1)
+    data = _parse_rows(path, lines, 3, skip=1)
     grid = _grid_from_x(data[:, 0], path)
     return WaveFunction(grid, data[:, 1] + 1j * data[:, 2], normalize=False)
 

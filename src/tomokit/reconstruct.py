@@ -204,7 +204,7 @@ def assemble_state(state: PiecewiseState, grid: SpatialGrid) -> WaveFunction:
 
 
 def _require_position(s: TomogramSlice) -> None:
-    if abs(s.mu - 1.0) > 1e-12 or abs(s.nu) > 1e-12:
+    if not s.is_position:
         raise InvalidArgumentError(
             f"expected a position tomogram (1, 0), got ({s.mu!r}, {s.nu!r})")
 

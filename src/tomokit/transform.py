@@ -108,6 +108,11 @@ class TomogramSlice:
         """Direction angle atan2(nu, mu) in (-pi, pi]."""
         return float(np.arctan2(self.nu, self.mu))
 
+    @property
+    def is_position(self) -> bool:
+        """Whether this is the position tomogram, (mu, nu) = (1, 0) to 1e-12."""
+        return abs(self.mu - 1.0) <= 1e-12 and abs(self.nu) <= 1e-12
+
 
 @dataclass(frozen=True)
 class GaussianState:

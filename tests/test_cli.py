@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,21 +66,11 @@ def test_simulate_noise_is_seeded(tmp_path):
     assert same[0] != same[2]
 
 
-def test_simulate_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    dirs = [(1.0, 0.0), (0.7, 0.7), (0.3, 1.1), (-0.4, 0.9)]
-    monkeypatch.setenv("TOMOKIT_THREADS", "1")
-    assert simulate_vacuum(tmp_path / "serial", *dirs) == 0
-    monkeypatch.setenv("TOMOKIT_THREADS", "4")
-    assert simulate_vacuum(tmp_path / "pool", *dirs) == 0
-    for i in range(len(dirs)):
-        name = f"slice_{i:03d}.csv"
-        assert (tmp_path / "serial" / name).read_bytes() == \
-            (tmp_path / "pool" / name).read_bytes()
-
-
-def test_simulate_rejects_bad_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("TOMOKIT_THREADS", "many")
-    assert simulate_vacuum(tmp_path / "out", (1.0, 0.0)) == 2
+def test_simulate_nan_noise_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert simulate_vacuum(out, (1.0, 0.0), extra=["--noise=nan"]) == 2
+    assert capsys.readouterr().err.startswith("ERROR invalid-argument: --noise")
+    assert not out.exists()
 
 
 def test_simulate_requires_directions(tmp_path, capsys):
@@ -175,6 +167,45 @@ def test_reconstruct_piecewise_needs_breakpoints(tmp_path):
     assert simulate_vacuum(sim, (1.0, 0.0)) == 0
     assert run("reconstruct", f"--in={sim}", "--method=piecewise",
                f"--out={tmp_path / 'rec'}") == 2
+
+
+def test_reconstruct_unordered_breakpoints_exits_2(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.7, 0.7), (0.6, -0.8)) == 0
+    assert run("reconstruct", f"--in={sim}", "--method=piecewise",
+               "--breakpoints=0,0", f"--out={tmp_path / 'rec'}") == 2
+    assert capsys.readouterr().err.startswith(
+        "ERROR invalid-argument: --breakpoints")
+
+
+def parse_error(capsys) -> str:
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR parse-error: ")
+    return line
+
+
+def test_reconstruct_non_utf8_slice_exits_3(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert simulate_vacuum(sim, (1.0, 0.0)) == 0
+    path = sim / "slice_000.csv"
+    path.write_bytes(path.read_bytes().replace(b"X,density", b"X,dens\xefty"))
+    assert run("reconstruct", f"--in={sim}", f"--out={tmp_path / 'rec'}") == 3
+    assert "slice_000.csv:2: " in parse_error(capsys)
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (1, "# mu=1.0 nu=inf"),
+    (1027, "0.0,nan"),
+])
+def test_reconstruct_non_finite_slice_exits_3(tmp_path, capsys, lineno, text):
+    sim = tmp_path / "sim"
+    assert simulate_vacuum(sim, (1.0, 0.0)) == 0
+    path = sim / "slice_000.csv"
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    assert run("reconstruct", f"--in={sim}", f"--out={tmp_path / 'rec'}") == 3
+    assert f"slice_000.csv:{lineno}: non-finite number" in parse_error(capsys)
 
 
 def test_reconstruct_corrupt_slice_exits_3(tmp_path, capsys):
@@ -291,6 +322,19 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_missing_subcommand_exits_2():
     assert run() == 2
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tomokit.cli", "simulate", "--state=vacuum",
+         "--grid=-12,12,256", "--direction=1,0", f"--out={out}"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert io.read_slice_csv(out / "slice_000.csv").is_position
 
 
 def test_malformed_grid_exits_2(tmp_path, capsys):

@@ -122,18 +122,6 @@ def test_boundary_leak_warning(grid):
         core.sample_state(core.GaussianPreset(sigma=6.0), grid)
 
 
-def test_piecewise_preset_samples_assembled_state(grid):
-    from tomokit import reconstruct
-
-    x = grid.points
-    mags = [np.where(x <= 0, np.exp(-(x + 2.5) ** 2 / 0.3), 0.0),
-            np.where(x > 0, np.exp(-(x - 2.5) ** 2 / 0.3), 0.0)]
-    state = reconstruct.PiecewiseState([0.0], mags, [0.0, 1.0], grid)
-    psi = core.sample_state(core.PiecewisePreset(state), grid)
-    ref = reconstruct.assemble_state(state, grid)
-    assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) < 1e-12
-
-
 def test_unknown_preset_rejected(grid):
     with pytest.raises(InvalidArgumentError):
         core.sample_state("squeezed", grid)
