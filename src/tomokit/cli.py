@@ -226,31 +226,36 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
     _write_manifest(args.out, "reconstruct", ["reconstruction.json"])
 
 
-def _recovery_omega(args: argparse.Namespace) -> float:
-    """Recovery synthesizes the position history itself, which needs a
-    closed-form propagator: constant frequency, no driving force."""
+def _recovery_request(args: argparse.Namespace):
+    """Check a --recover-at request before anything is integrated or
+    written; returns (omega, initial state, sorted distinct times).
+
+    Recovery synthesizes the position history itself, which needs a
+    closed-form propagator: constant frequency, no driving force.
+    """
     if args.omega.name != "constant":
         raise UnsupportedError(
             "--recover-at supports only a constant --omega preset")
     if args.force.name != "constant" or any(p != 0.0 for p in args.force.params):
         raise UnsupportedError("--recover-at supports only zero --force")
-    return args.omega.params[0]
+    times = sorted(set(args.recover_at))
+    if not all(0.0 <= t <= args.t_max for t in times):
+        raise OutOfRangeError(
+            f"--recover-at times must lie in [0, {args.t_max!r}]")
+    psi = _resolve_state(args.state, args.grid)
+    return args.omega.params[0], psi, times
 
 
 def cmd_evolve(args: argparse.Namespace) -> None:
-    _ensure_outdir(args.out)
     spec = dynamics.OscillatorSpec(args.omega.at, args.force.at, args.t_max, args.dt)
+    recovery = _recovery_request(args) if args.recover_at else None
+    _ensure_outdir(args.out)
     traj = dynamics.solve_epsilon_delta(spec)
     io.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
     names = ["trajectory.csv"]
     recovered = []
-    if args.recover_at:
-        omega_value = _recovery_omega(args)
-        psi = _resolve_state(args.state, args.grid)
-        times = sorted(set(args.recover_at))
-        if times[0] < 0.0 or times[-1] > args.t_max:
-            raise OutOfRangeError(
-                f"--recover-at times must lie in [0, {args.t_max!r}]")
+    if recovery is not None:
+        omega_value, psi, times = recovery
         history = dynamics.harmonic_position_history(psi, times, omega_value)
         for i, t in enumerate(times):
             s = dynamics.initial_tomogram_from_oscillator(history, traj, t)

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import InterpolatedUnivariateSpline, make_interp_spline
 
-from .core import SpatialGrid, WaveFunction
+from .core import SpatialGrid, WaveFunction, _cumulative_trapezoid
 from .errors import (
     DegenerateDirectionError,
     InvalidArgumentError,
@@ -140,6 +138,7 @@ class OscillatorTrajectory:
         self.epsilon = eps
         self.epsilon_dot = epsd
         self.delta = dlt
+        from scipy.interpolate import make_interp_spline
         k = min(3, t.size - 1)
         self._interp = [make_interp_spline(t, arr, k=k)
                         for arr in (eps, epsd, dlt)]
@@ -290,8 +289,11 @@ class PositionHistory:
         self.slices = list(slices)
         self._grid = grid
         self._stack = np.stack([s.density for s in slices])
-        self._spline = (make_interp_spline(t, self._stack, k=min(3, t.size - 1), axis=0)
-                        if t.size > 1 else None)
+        self._spline = None
+        if t.size > 1:
+            from scipy.interpolate import make_interp_spline
+            self._spline = make_interp_spline(t, self._stack, k=min(3, t.size - 1),
+                                              axis=0)
 
     @property
     def grid(self) -> SpatialGrid:
@@ -355,6 +357,7 @@ def initial_tomogram_from_position_history(history: PositionHistory, mu: float,
     if mu == 1.0:
         out = dens_t
     else:
+        from scipy.interpolate import InterpolatedUnivariateSpline
         spline = InterpolatedUnivariateSpline(x, dens_t, k=3, ext="zeros")
         out = spline(x / mu) / abs(mu)
         out = np.where(out < 0.0, 0.0, out)
@@ -410,8 +413,9 @@ def initial_tomogram_from_oscillator(history: PositionHistory,
     if abs(eps - 1.0) <= 1e-12 and abs(delta) <= 1e-12:
         # the transport map is the identity; skip the lossy differentiation
         return TomogramSlice(1.0, 0.0, grid, dens_t, renormalize=True)
+    from scipy.interpolate import InterpolatedUnivariateSpline
     x = grid.points
-    cdf = cumulative_trapezoid(dens_t, x, initial=0.0)
+    cdf = _cumulative_trapezoid(dens_t, x)
     shift = np.sqrt(2.0) * (eps * np.conj(delta)).real
     spline = InterpolatedUnivariateSpline(x, cdf, k=3, ext="const")
     out = np.gradient(spline(x - shift), x)

@@ -159,10 +159,10 @@ class SegmentTransformSet:
         self.mu = float(mu)
         self.nu = float(nu)
         self.grid = grid
-        self.waves = [np.asarray(w, dtype=complex) for w in waves]
+        self.waves = np.array(waves, dtype=complex)
+        self.waves.flags.writeable = False
         self.segment_norms = np.asarray(segment_norms, dtype=float)
-        stack = np.stack(self.waves)
-        gram = (stack.conj() @ stack.T) * grid.dx
+        gram = (self.waves.conj() @ self.waves.T) * grid.dx
         dev = np.abs(gram - np.diag(self.segment_norms)).max()
         if dev > orthogonality_tol:
             raise ResolutionError(
@@ -173,7 +173,8 @@ class SegmentTransformSet:
 
 def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
                        nu: float) -> SegmentTransformSet:
-    """Transform each windowed magnitude at (mu, nu) onto ``grid``."""
+    """Transform the windowed magnitudes at (mu, nu) onto ``grid`` in one
+    batched call."""
     mu, nu = float(mu), float(nu)
     if not (np.isfinite(mu) and np.isfinite(nu)):
         raise InvalidArgumentError("mu and nu must be finite")
@@ -183,13 +184,12 @@ def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
             "oscillatory direction")
     if not isinstance(grid, SpatialGrid):
         raise InvalidArgumentError("grid must be a SpatialGrid")
-    norms = []
-    waves = []
     for m in state.magnitudes:
         if m.max() > 0.0:
             _check_kernel_resolution(m, state.grid, mu, nu, grid)
-        waves.append(_transform_samples(m.astype(complex), state.grid, mu, nu, grid))
-        norms.append(float(np.sum(m ** 2) * state.grid.dx))
+    mags = np.stack(state.magnitudes)
+    waves = _transform_samples(mags, state.grid, mu, nu, grid)
+    norms = np.sum(mags ** 2, axis=1) * state.grid.dx
     return SegmentTransformSet(mu, nu, grid, waves, norms)
 
 
@@ -291,8 +291,7 @@ def _solve(position: TomogramSlice, extras, breakpoints):
     rows = []
     rhs = []
     for s in extras:
-        tset = segment_transforms(state, s.grid, s.mu, s.nu)
-        stack = np.stack(tset.waves)
+        stack = segment_transforms(state, s.grid, s.mu, s.nu).waves
         diag = np.sum(np.abs(stack) ** 2, axis=0)
         cols = np.empty((s.grid.n_points, 2 * len(pairs)))
         for i, (p, q) in enumerate(pairs):

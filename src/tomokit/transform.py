@@ -5,20 +5,25 @@ The central object is the two-parameter unitary transform
     (F psi)(X) = (2 pi |nu|)^(-1/2) integral exp(-i X y/nu + i mu y^2/(2 nu)) psi(y) dy
 
 whose squared modulus is the tomographic density of the quadrature
-mu*x + nu*p.  The oscillatory kernel is evaluated with a chirp-z transform
-directly on the caller's grid, so the discrete sum is exact to rounding; no
-intermediate resampling is involved.  For |nu| below ``NU_FLOOR`` the
-integral degenerates and the scaling branch
-``density(X) = |psi(X/mu)|^2 / |mu|`` applies instead.
+mu*x + nu*p.  The discrete sum over the input grid is evaluated directly
+on the output grid by Bluestein's chirp-z algorithm (Bluestein 1970;
+Rabiner, Schafer & Rader 1969): the product x_k y_n splits into chirps
+in n and k and one in k - n, so the sum becomes a single FFT convolution.
+The two chirp vectors and the transformed kernel form a plan that depends
+only on the grids and the direction; plans are cached, so a repeated
+direction costs two FFTs.  The sum is exact to rounding; no intermediate
+resampling is involved.  For |nu| below ``NU_FLOOR`` the integral
+degenerates and the scaling branch ``density(X) = |psi(X/mu)|^2 / |mu|``
+applies instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
-from scipy.signal import czt
 
 from .core import SpatialGrid, WaveFunction, _check_boundary
 from .errors import (
@@ -164,21 +169,52 @@ def _check_kernel_resolution(values, grid: SpatialGrid, mu: float, nu: float,
             f"suggest n_points >= {need}")
 
 
+class _Plan(NamedTuple):
+    """Read-only vectors of one Bluestein transform between two grids."""
+
+    pre: np.ndarray   # (N,) input chirp, start phase and half-chirp
+    ker: np.ndarray   # (L,) FFT of the conjugate half-chirp, L = 2^ceil(log2(N+M-1))
+    post: np.ndarray  # (M,) half-chirp, output phase and quadrature weight
+
+
+@lru_cache(maxsize=32)
+def _plan(grid: SpatialGrid, mu: float, nu: float, out_grid: SpatialGrid) -> _Plan:
+    """Bluestein plan for dy sum_n v_n exp(i mu y_n^2/(2 nu) - i x_k y_n/nu).
+
+    With y_n = y0 + n dy, x_k = x0 + k dx and a = dx dy/nu the phase
+    x_k y_n/nu is x_k y0/nu + n dy x0/nu + a nk, and
+    nk = (n^2 + k^2 - (k - n)^2)/2 turns the a nk term into a convolution.
+    """
+    n_in, n_out = grid.n_points, out_grid.n_points
+    a = grid.dx * out_grid.dx / nu
+    n = np.arange(n_in, dtype=float)
+    k = np.arange(n_out, dtype=float)
+    y = grid.points
+    pre = np.exp(1j * (mu * y ** 2 / (2.0 * nu) - n * grid.dx * out_grid.x_min / nu
+                       - 0.5 * a * n ** 2))
+    # exp(i a j^2/2) at lags j = 0 .. M-1, then j = -(N-1) .. -1 wrapped
+    chirp = np.zeros(1 << (n_in + n_out - 2).bit_length(), dtype=complex)
+    chirp[:n_out] = np.exp(0.5j * a * k ** 2)
+    chirp[chirp.size - n_in + 1:] = np.exp(0.5j * a * n[:0:-1] ** 2)
+    ker = np.fft.fft(chirp)
+    post = (np.exp(-1j * (0.5 * a * k ** 2 + out_grid.points * grid.x_min / nu))
+            * (grid.dx / np.sqrt(2.0 * np.pi * abs(nu))))
+    for v in (pre, ker, post):
+        v.flags.writeable = False
+    return _Plan(pre, ker, post)
+
+
 def _transform_samples(values: np.ndarray, grid: SpatialGrid, mu: float,
                        nu: float, out_grid: SpatialGrid) -> np.ndarray:
     """Discrete transform of raw samples; no normalization checks.
 
     Evaluates dy * sum_n values_n exp(i mu y_n^2/(2 nu) - i x_k y_n/nu)
-    divided by sqrt(2 pi |nu|) on the output grid via Bluestein's algorithm.
+    divided by sqrt(2 pi |nu|) on the output grid, along the last axis of
+    a (..., N) stack, with the cached plan of (grid, mu, nu, out_grid).
     """
-    y0, dy = grid.x_min, grid.dx
-    x = out_grid.points
-    chirped = values * np.exp(1j * mu * grid.points ** 2 / (2.0 * nu))
-    a = np.exp(1j * dy * out_grid.x_min / nu)
-    w = np.exp(-1j * dy * out_grid.dx / nu)
-    spec = czt(chirped, m=out_grid.n_points, w=w, a=a)
-    spec = spec * np.exp(-1j * x * y0 / nu)
-    return spec * (dy / np.sqrt(2.0 * np.pi * abs(nu)))
+    plan = _plan(grid, mu, nu, out_grid)
+    conv = np.fft.ifft(np.fft.fft(values * plan.pre, plan.ker.size) * plan.ker)
+    return conv[..., :out_grid.n_points] * plan.post
 
 
 def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunction:
@@ -220,6 +256,7 @@ def _scaled_density(psi: WaveFunction, mu: float) -> np.ndarray:
     dens = psi.density()
     if mu == 1.0:
         return dens.copy()
+    from scipy.interpolate import InterpolatedUnivariateSpline
     spline = InterpolatedUnivariateSpline(x, dens, k=3, ext="zeros")
     out = spline(x / mu) / abs(mu)
     return np.where(out < 0.0, 0.0, out)

@@ -312,6 +312,32 @@ def test_evolve_recovery_time_out_of_range(tmp_path, capsys):
     assert "ERROR out-of-range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--omega=linear-ramp:1,0.1", "--state=vacuum", "--recover-at=0.3"],
+    ["--omega=constant:1", "--force=constant:0.5", "--state=vacuum",
+     "--recover-at=0.3"],
+    ["--omega=constant:1", "--recover-at=0.3"],
+    ["--omega=constant:1", "--state=vacuum", "--recover-at=2"],
+    ["--omega=constant:1", "--state=vacuum", "--recover-at=nan"],
+])
+def test_evolve_bad_recovery_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "evo"
+    assert run("evolve", "--t-max=1", "--dt=1e-3", *flags, f"--out={out}") == 2
+    assert capsys.readouterr().err.startswith("ERROR ")
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_evolve_undersampled_state_exits_4(tmp_path, capsys):
+    out = tmp_path / "evo"
+    rc = run("evolve", "--omega=constant:1", "--t-max=1", "--dt=1e-3",
+             "--state=vacuum", "--recover-at=0.3", "--grid=-12,12,16",
+             f"--out={out}")
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR resolution-error: ")
+    assert not (out / "trajectory.csv").exists()
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -335,6 +361,38 @@ def test_python_m_runs_the_cli(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert io.read_slice_csv(out / "slice_000.csv").is_position
+
+
+_SCIPY_FREE_SESSION = """
+import sys
+from tomokit import cli
+out = sys.argv[1]
+grid = "--grid=-12,12,256"
+verbs = [
+    ["simulate", "--state=fock:1", grid, "--direction=1,0",
+     "--direction=0.6,0.8", f"--out={out}/fock"],
+    ["reconstruct", f"--in={out}/fock", f"--out={out}/rec"],
+    ["simulate", "--state=vacuum", grid, "--direction=1,0", "--direction=0,1",
+     "--direction=0.6,0.8", f"--out={out}/vac"],
+    ["measure", f"--in={out}/vac", "--assume-pure", f"--out={out}/meas"],
+]
+for argv in verbs:
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_simulate_reconstruct_measure_never_import_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_SESSION, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["[]"]
+    assert (tmp_path / "rec" / "reconstruction.json").is_file()
+    assert (tmp_path / "meas" / "completeness.json").is_file()
 
 
 def test_malformed_grid_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import InterpolatedUnivariateSpline
 
 from tomokit import core
-from tomokit.errors import InvalidArgumentError, UnsupportedError
+from tomokit.errors import InvalidArgumentError, ResolutionError, UnsupportedError
 
 import oracles
 
@@ -120,6 +120,13 @@ def test_fock_preset_rejects_negative_index():
 def test_boundary_leak_warning(grid):
     with pytest.warns(core.BoundaryLeakWarning):
         core.sample_state(core.GaussianPreset(sigma=6.0), grid)
+
+
+def test_undersampled_state_rejected():
+    coarse = core.make_grid(-12.0, 12.0, 16)
+    with pytest.raises(ResolutionError, match="n_points >= 32"):
+        core.sample_state(core.GaussianPreset(), coarse)
+    core.sample_state(core.GaussianPreset(), core.make_grid(-12.0, 12.0, 64))
 
 
 def test_unknown_preset_rejected(grid):

@@ -32,6 +32,47 @@ def test_transform_matches_direct_quadrature(superposition, mu, nu):
     assert np.max(np.abs(got.amplitudes - want)) < 1e-9
 
 
+@pytest.mark.parametrize("mu,nu", [(0.7, 0.7), (-0.5, 1.2)])
+def test_transform_samples_onto_other_grid(superposition, mu, nu):
+    out_grid = core.make_grid(-9.0, 11.0, 1500)
+    got = transform._transform_samples(superposition.amplitudes,
+                                       superposition.grid, mu, nu, out_grid)
+    want = oracles.direct_transform(superposition.amplitudes,
+                                    superposition.grid.points, mu, nu,
+                                    out_grid.points)
+    assert got.shape == (out_grid.n_points,)
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_cached_plan_matches_cold_plan(superposition):
+    args = (superposition.grid, 0.6, 0.8, superposition.grid)
+    transform._plan.cache_clear()
+    cold = transform._transform_samples(superposition.amplitudes, *args)
+    warm = transform._transform_samples(superposition.amplitudes, *args)
+    assert transform._plan.cache_info().hits >= 1
+    assert np.array_equal(cold, warm)
+
+
+def test_batched_transform_equals_single_calls(superposition, vacuum):
+    grid = superposition.grid
+    stack = np.stack([superposition.amplitudes, vacuum.amplitudes,
+                      superposition.amplitudes.real])
+    batched = transform._transform_samples(stack, grid, -0.3, 0.9, grid)
+    assert batched.shape == stack.shape
+    for row, values in zip(batched, stack):
+        single = transform._transform_samples(values, grid, -0.3, 0.9, grid)
+        assert np.array_equal(row, single)
+
+
+def test_plan_arrays_are_read_only(grid):
+    plan = transform._plan(grid, 0.7, 0.7, core.make_grid(-5.0, 5.0, 300))
+    assert plan.ker.size == 4096
+    for v in plan:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+
+
 def test_transform_preserves_norm(grid, superposition):
     rng = np.random.default_rng(7)
     for _ in range(5):
