@@ -131,7 +131,9 @@ def _resolve_state(spec: str | None, grid: core.SpatialGrid) -> core.WaveFunctio
             raise InvalidArgumentError("--state fock wants fock:n") from None
         return core.sample_state(core.FockPreset(n), grid)
     if os.path.isfile(spec):
-        return io.read_wavefunction_csv(spec)
+        psi = io.read_wavefunction_csv(spec)
+        core._check_sampling(psi.amplitudes, f"state file {spec!r}")
+        return psi
     raise InvalidArgumentError(
         f"state {spec!r} is neither a preset (vacuum, gaussian:x0,p0,sigma, "
         "fock:n) nor an existing file")
@@ -249,21 +251,21 @@ def _recovery_request(args: argparse.Namespace):
 def cmd_evolve(args: argparse.Namespace) -> None:
     spec = dynamics.OscillatorSpec(args.omega.at, args.force.at, args.t_max, args.dt)
     recovery = _recovery_request(args) if args.recover_at else None
-    _ensure_outdir(args.out)
     traj = dynamics.solve_epsilon_delta(spec)
-    io.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
-    names = ["trajectory.csv"]
-    recovered = []
+    recovered = {}
     if recovery is not None:
         omega_value, psi, times = recovery
         history = dynamics.harmonic_position_history(psi, times, omega_value)
         for i, t in enumerate(times):
-            s = dynamics.initial_tomogram_from_oscillator(history, traj, t)
-            name = f"recovered_{i:03d}.csv"
-            io.write_slice_csv(os.path.join(args.out, name), s)
-            names.append(name)
-            recovered.append({"file": name, "time": t})
-    _write_manifest(args.out, "evolve", names, {"recovered": recovered})
+            recovered[f"recovered_{i:03d}.csv"] = (
+                t, dynamics.initial_tomogram_from_oscillator(history, traj, t))
+    _ensure_outdir(args.out)
+    io.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
+    for name, (_, s) in recovered.items():
+        io.write_slice_csv(os.path.join(args.out, name), s)
+    _write_manifest(args.out, "evolve", ["trajectory.csv", *recovered], {
+        "recovered": [{"file": name, "time": t}
+                      for name, (t, _) in recovered.items()]})
 
 
 def cmd_measure(args: argparse.Namespace) -> None:

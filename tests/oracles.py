@@ -49,3 +49,41 @@ def mixture_entropy_two(w1, w2, overlap):
     lam = np.array([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0])
     lam = lam[lam > 1e-300]
     return float(-(lam * np.log(lam)).sum())
+
+
+def rk4_epsilon_delta(omega, force, t_max, dt):
+    """Classical RK4 on the stacked state (epsilon, epsilon', delta) with
+    omega and force called at every stage; returns the sample times and
+    the three complex arrays.  The steps are ``dt`` plus a short final
+    step that lands on ``t_max``."""
+
+    def rhs(t, y):
+        w = float(omega(t))
+        f = float(force(t))
+        return np.array([y[1], -(w * w) * y[0], -1j / np.sqrt(2.0) * y[0] * f],
+                        dtype=complex)
+
+    ratio = t_max / dt
+    n_full = int(round(ratio))
+    if abs(ratio - n_full) > 1e-9 or n_full == 0:
+        n_full = int(np.floor(ratio))
+    steps = [dt] * n_full
+    remainder = t_max - n_full * dt
+    if remainder > 1e-12 * max(1.0, t_max):
+        steps.append(remainder)
+
+    y = np.array([1.0, 1.0j, 0.0], dtype=complex)
+    times, ys = [0.0], [y]
+    t = 0.0
+    for h in steps:
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+        times.append(t)
+        ys.append(y)
+    times[-1] = t_max
+    ys = np.array(ys)
+    return np.array(times), ys[:, 0], ys[:, 1], ys[:, 2]

@@ -338,6 +338,44 @@ def test_evolve_undersampled_state_exits_4(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_evolve_undersampled_state_file_exits_4(tmp_path, capsys):
+    grid = core.make_grid(-12.0, 12.0, 16)
+    path = tmp_path / "vac16.csv"
+    io.write_wavefunction_csv(
+        path, core.WaveFunction(grid, np.exp(-grid.points ** 2 / 4.0) + 0j))
+    out = tmp_path / "evo"
+    rc = run("evolve", "--omega=constant:1", "--t-max=1", "--dt=1e-3",
+             f"--state={path}", "--grid=-12,12,16", "--recover-at=0.3",
+             f"--out={out}")
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR resolution-error: ")
+    assert "of the spectral energy" in err[0]
+    assert not out.exists()
+
+
+def test_evolve_history_failure_writes_nothing(tmp_path, capsys):
+    # a squeezed state spreads past [-6, 6] under the slow oscillator
+    out = tmp_path / "evo"
+    rc = run("evolve", "--omega=constant:0.1", "--t-max=1", "--dt=1e-3",
+             "--state=gaussian:0,0,0.2", "--grid=-6,6,512", "--recover-at=1",
+             f"--out={out}")
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR resolution-error: ")
+    assert not out.exists()
+
+
+def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "evo"
+    rc = run("evolve", "--omega=constant:1e200", "--t-max=1", "--dt=1e-3",
+             f"--out={out}")
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR step-size-too-large: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- parser
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from tomokit import core, dynamics, transform
@@ -96,6 +97,60 @@ def test_trajectory_range_checked():
 def test_coarse_step_raises():
     with pytest.raises(StepSizeError, match="reduce dt"):
         dynamics.solve_epsilon_delta(make_spec(omega=5.0, t_max=4.0, dt=0.5))
+
+
+def assert_matches_rk4_oracle(spec):
+    traj = dynamics.solve_epsilon_delta(spec)
+    want = oracles.rk4_epsilon_delta(spec.omega, spec.force, spec.t_max, spec.dt)
+    got = (traj.times, traj.epsilon, traj.epsilon_dot, traj.delta)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    return traj
+
+
+@pytest.mark.parametrize("omega", [
+    dynamics.constant_rate(1.3),
+    dynamics.linear_ramp(0.8, 0.4),
+    dynamics.cosine_modulated(1.0, 0.3, 2.5),
+], ids=["constant", "linear-ramp", "cosine-modulated"])
+@pytest.mark.parametrize("force, t_max", [
+    (dynamics.constant_rate(0.0), 2.0),
+    (dynamics.cosine_modulated(0.4, 0.5, 1.7), 1.0005),
+], ids=["free-2.0", "driven-1.0005"])
+def test_integrator_matches_rk4_oracle_bit_for_bit(omega, force, t_max):
+    assert_matches_rk4_oracle(OscillatorSpec(omega, force, t_max, 1e-3))
+
+
+@pytest.mark.parametrize("omega, force, first_bad", [
+    (lambda t: np.nan if t > 0.5 else 1.0, dynamics.constant_rate(0.0),
+     "0.5000000000000003"),
+    (dynamics.constant_rate(1.0), lambda t: np.inf if t > 0.25 else 0.0,
+     "0.25000000000000017"),
+], ids=["omega-nan", "force-inf"])
+def test_non_finite_rate_names_first_stage_time(omega, force, first_bad):
+    spec = OscillatorSpec(omega, force, 1.0, 1e-3)
+    with pytest.raises(InvalidArgumentError) as exc:
+        dynamics.solve_epsilon_delta(spec)
+    assert str(exc.value) == f"omega/force not finite at t = {first_bad}"
+
+
+def test_overflowing_rate_raises_step_size_error():
+    # omega^2 overflows, so the first step leaves a nan Wronskian behind
+    with pytest.raises(StepSizeError, match="drifted to nan at t = 0.001"):
+        dynamics.solve_epsilon_delta(make_spec(omega=1e200, t_max=1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(omega=st.floats(0.3, 3.0), force=st.floats(-1.0, 1.0),
+       dt=st.floats(5e-4, 5e-3), t_max=st.floats(0.5, 3.0))
+def test_constant_rate_integration_properties(omega, force, dt, t_max):
+    traj = assert_matches_rk4_oracle(
+        make_spec(omega=omega, force=force, t_max=t_max, dt=dt))
+    assert np.max(np.abs(traj.wronskian() - 1.0)) <= 1e-6
+    if (omega * dt) ** 4 * omega * t_max <= 1e-8:
+        t = traj.times
+        exact = np.cos(omega * t) + 1j * np.sin(omega * t) / omega
+        assert np.max(np.abs(traj.epsilon - exact)) <= 1e-6
 
 
 def test_trajectory_rejects_wrong_start():
