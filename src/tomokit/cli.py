@@ -167,16 +167,16 @@ def _noisy(s: transform.TomogramSlice, rel: float, seed: int,
 def cmd_simulate(args: argparse.Namespace) -> None:
     if not args.direction:
         raise InvalidArgumentError("simulate needs at least one --direction")
-    _ensure_outdir(args.out)
     psi = _resolve_state(args.state, args.grid)
-    names = []
+    slices = {}
     for i, (mu, nu) in enumerate(args.direction):
         s = transform.tomogram(psi, mu, nu)
-        if args.noise > 0.0:
-            s = _noisy(s, args.noise, args.seed, i)
-        names.append(f"slice_{i:03d}.csv")
-        io.write_slice_csv(os.path.join(args.out, names[-1]), s)
-    _write_manifest(args.out, "simulate", names, {
+        slices[f"slice_{i:03d}.csv"] = (
+            _noisy(s, args.noise, args.seed, i) if args.noise > 0.0 else s)
+    _ensure_outdir(args.out)
+    for name, s in slices.items():
+        io.write_slice_csv(os.path.join(args.out, name), s)
+    _write_manifest(args.out, "simulate", slices, {
         "directions": [[float(m), float(n)] for m, n in args.direction]})
 
 

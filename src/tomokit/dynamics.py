@@ -120,7 +120,8 @@ class OscillatorSpec:
 
 
 class OscillatorTrajectory:
-    """Sampled (epsilon, epsilon', delta) with cubic interpolation in t."""
+    """Sampled (epsilon, epsilon', delta) with cubic interpolation in t;
+    the interpolants are built on the first call to :meth:`at`."""
 
     def __init__(self, times, epsilon, epsilon_dot, delta):
         t = np.asarray(times, dtype=float)
@@ -139,10 +140,7 @@ class OscillatorTrajectory:
         self.epsilon = eps
         self.epsilon_dot = epsd
         self.delta = dlt
-        from scipy.interpolate import make_interp_spline
-        k = min(3, t.size - 1)
-        self._interp = [make_interp_spline(t, arr, k=k)
-                        for arr in (eps, epsd, dlt)]
+        self._interp = None
 
     def wronskian(self) -> np.ndarray:
         """Im(conj(epsilon) epsilon') at the sample times; identically 1 in
@@ -157,6 +155,11 @@ class OscillatorTrajectory:
             raise OutOfRangeError(
                 f"t = {t!r} outside trajectory range [{lo!r}, {hi!r}]")
         t = min(max(t, lo), hi)
+        if self._interp is None:
+            from scipy.interpolate import make_interp_spline
+            k = min(3, self.times.size - 1)
+            self._interp = [make_interp_spline(self.times, arr, k=k)
+                            for arr in (self.epsilon, self.epsilon_dot, self.delta)]
         return tuple(complex(f(t)) for f in self._interp)
 
 

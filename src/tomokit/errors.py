@@ -46,13 +46,6 @@ class StepSizeError(NumericalError):
     code = "step-size-too-large"
 
 
-class ScalingBranchError(InvalidArgumentError):
-    """The oscillatory transform was requested where only the scaling
-    branch is defined; the caller should use :func:`tomokit.transform.tomogram`."""
-
-    code = "use-scaling-branch"
-
-
 class InvalidCovarianceError(InvalidArgumentError):
     """A covariance triple violates positivity or the uncertainty bound."""
 

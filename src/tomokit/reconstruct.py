@@ -28,7 +28,7 @@ from .errors import (
     InvalidArgumentError,
     ResolutionError,
 )
-from .transform import NU_FLOOR, TomogramSlice, _check_kernel_resolution, _transform_samples
+from .transform import TomogramSlice, _quadrature
 
 __all__ = [
     "PiecewiseState",
@@ -52,8 +52,8 @@ _DENSITY_CLAMP = 1e-14
 _CONDITION_LIMIT = 1e8
 _RESIDUAL_LIMIT = 1e-2
 
-# recover_phases_piecewise rejects solutions whose pairwise products sit
-# further than this from the unit circle.
+# Largest standard error of the pairwise products, and (piecewise) largest
+# distance of the solved products from the unit circle.
 _UNIT_MODULUS_SLACK = 0.1
 
 
@@ -164,7 +164,7 @@ class SegmentTransformSet:
         self.segment_norms = np.asarray(segment_norms, dtype=float)
         gram = (self.waves.conj() @ self.waves.T) * grid.dx
         dev = np.abs(gram - np.diag(self.segment_norms)).max()
-        if dev > orthogonality_tol:
+        if not dev <= orthogonality_tol:
             raise ResolutionError(
                 f"segment transforms at ({mu!r}, {nu!r}) lost orthogonality "
                 f"(max Gram deviation {dev:.2e}); the grid truncates their "
@@ -174,21 +174,15 @@ class SegmentTransformSet:
 def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
                        nu: float) -> SegmentTransformSet:
     """Transform the windowed magnitudes at (mu, nu) onto ``grid`` in one
-    batched call."""
+    batched call; one side of the transform serves every segment, so its
+    X-dependent phase cancels in every |w_j|^2 and w_j conj(w_k)."""
     mu, nu = float(mu), float(nu)
-    if not (np.isfinite(mu) and np.isfinite(nu)):
-        raise InvalidArgumentError("mu and nu must be finite")
-    if abs(nu) < NU_FLOOR:
-        raise InvalidArgumentError(
-            f"|nu| = {abs(nu)!r} below {NU_FLOOR}: segment transforms need an "
-            "oscillatory direction")
+    if not (np.isfinite(mu) and np.isfinite(nu)) or mu == nu == 0.0:
+        raise InvalidArgumentError("direction (mu, nu) must be finite, not (0, 0)")
     if not isinstance(grid, SpatialGrid):
         raise InvalidArgumentError("grid must be a SpatialGrid")
-    for m in state.magnitudes:
-        if m.max() > 0.0:
-            _check_kernel_resolution(m, state.grid, mu, nu, grid)
     mags = np.stack(state.magnitudes)
-    waves = _transform_samples(mags, state.grid, mu, nu, grid)
+    waves = _quadrature(mags, state.grid, mu, nu, grid)
     norms = np.sum(mags ** 2, axis=1) * state.grid.dx
     return SegmentTransformSet(mu, nu, grid, waves, norms)
 
@@ -271,10 +265,9 @@ def _check_extras(position: TomogramSlice, extras) -> None:
     for s in extras:
         if not isinstance(s, TomogramSlice):
             raise InvalidArgumentError("extra slices must be TomogramSlice objects")
-        if abs(s.nu) < NU_FLOOR:
+        if s.nu == 0.0:
             raise InvalidArgumentError(
-                f"slice at ({s.mu!r}, {s.nu!r}) carries no phase information: "
-                f"|nu| below {NU_FLOOR}")
+                f"slice at ({s.mu!r}, {s.nu!r}) carries no phase information")
 
 
 def _solve(position: TomogramSlice, extras, breakpoints):
@@ -283,7 +276,8 @@ def _solve(position: TomogramSlice, extras, breakpoints):
     The stacked rows read
         sum_{p<q} [2 a_pq c_pq - 2 b_pq s_pq] = omega - sum_j |w_j|^2
     with a + ib the pairwise product of segment transforms, so the
-    unknowns (c, s) recover cos and sin of each phase difference.
+    unknowns (c, s) recover cos and sin of each phase difference, up to a
+    standard error |A x - b| / sigma_min that must stay within 0.1.
     """
     state = piecewise_from_position(breakpoints, position)
     k = state.n_segments
@@ -304,15 +298,21 @@ def _solve(position: TomogramSlice, extras, breakpoints):
     b = np.concatenate(rhs)
     sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    residual = float(np.sqrt(np.mean((a @ sol - b) ** 2)))
-    return sol.reshape(-1, 2), residual, cond, k
-
-
-def _finish(sol, residual, cond, k) -> PhaseRecoveryResult:
+    misfit = a @ sol - b
+    residual = float(np.sqrt(np.mean(misfit ** 2)))
     if residual > _RESIDUAL_LIMIT:
         raise InconsistentTomogramsError(
             f"least-squares residual {residual:.2e} above {_RESIDUAL_LIMIT}: "
             "slices are not tomograms of one piecewise state")
+    stderr = float(np.linalg.norm(misfit) / sv[-1]) if sv[-1] > 0 else np.inf
+    if cond <= _CONDITION_LIMIT and stderr > _UNIT_MODULUS_SLACK:
+        raise InsufficientDataError(
+            f"pairwise phase products have standard error {stderr:.2e} (limit "
+            f"{_UNIT_MODULUS_SLACK}); use slices further from the position axis")
+    return sol.reshape(-1, 2), residual, cond, k
+
+
+def _finish(sol, residual, cond, k) -> PhaseRecoveryResult:
     status = "ill-conditioned" if cond > _CONDITION_LIMIT else "ok"
     u = sol[:, 0] + 1j * sol[:, 1]
     phases = _phases_from_pairs(u, k)

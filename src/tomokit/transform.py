@@ -12,9 +12,11 @@ in n and k and one in k - n, so the sum becomes a single FFT convolution.
 The two chirp vectors and the transformed kernel form a plan that depends
 only on the grids and the direction; plans are cached, so a repeated
 direction costs two FFTs.  The sum is exact to rounding; no intermediate
-resampling is involved.  For |nu| below ``NU_FLOOR`` the integral
-degenerates and the scaling branch ``density(X) = |psi(X/mu)|^2 / |mu|``
-applies instead.
+resampling is involved.  Near the position axis, where the grid cannot
+sample the chirp, the same sum runs over the momentum samples at
+(nu, -mu): the Fourier transform maps (x, p) to (p, -x), so this gives the
+transform up to an X-dependent phase, and the tomogram exactly (Koc,
+Ozaktas, Candan & Kutay 2008).
 """
 
 from __future__ import annotations
@@ -26,15 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SpatialGrid, WaveFunction, _check_boundary
-from .errors import (
-    InvalidArgumentError,
-    InvalidCovarianceError,
-    ResolutionError,
-    ScalingBranchError,
-)
+from .errors import InvalidArgumentError, InvalidCovarianceError, ResolutionError
 
 __all__ = [
-    "NU_FLOOR",
     "TomogramSlice",
     "GaussianState",
     "fractional_transform",
@@ -43,10 +39,6 @@ __all__ = [
     "fresnel_tomogram",
     "sample_pure_gaussian",
 ]
-
-# Below this |nu| the oscillatory kernel is numerically meaningless and the
-# scaling branch of the tomogram applies.
-NU_FLOOR = 1e-6
 
 # Amplitudes below this fraction of the peak do not count toward the
 # effective support used in resolution checks.
@@ -147,24 +139,28 @@ class GaussianState:
         return self.sigma_xx * self.sigma_pp - self.sigma_xp ** 2
 
 
-def _effective_support(values: np.ndarray, y: np.ndarray) -> float:
-    """Largest |y| carrying amplitude above 1e-12 of the peak."""
+def _reach(values: np.ndarray, points: np.ndarray) -> float:
+    """Largest |point| where a row of the (..., N) stack ``values`` carries
+    amplitude above 1e-12 of that row's peak."""
     mag = np.abs(values)
-    idx = np.nonzero(mag > _SUPPORT_REL * mag.max())[0]
-    return float(np.abs(y[idx]).max())
+    above = mag > _SUPPORT_REL * mag.max(axis=-1, keepdims=True)
+    return float(np.abs(points[np.nonzero(above)[-1]]).max())
 
 
-def _check_kernel_resolution(values, grid: SpatialGrid, mu: float, nu: float,
-                             out_grid: SpatialGrid) -> None:
-    """Require the chirp kernel to be Nyquist-resolvable over the support."""
-    y_eff = _effective_support(values, grid.points)
+def _kernel_rate(values, grid: SpatialGrid, mu: float, nu: float,
+                 out_grid: SpatialGrid) -> float:
+    """Fastest local frequency of the kernel exp(i mu y^2/(2 nu) - i X y/nu)
+    over the support of ``values`` and the output grid; infinite at nu = 0."""
+    if nu == 0.0:
+        return np.inf
     x_abs = max(abs(out_grid.x_min), abs(out_grid.x_max))
-    rate = (abs(mu) * y_eff + x_abs) / abs(nu)
+    return (abs(mu) * _reach(values, grid.points) + x_abs) / abs(nu)
+
+
+def _undersampled(grid: SpatialGrid, mu: float, nu: float, rate: float) -> str:
     nyquist = np.pi / grid.dx
-    if rate > nyquist:
-        need = int(np.ceil(grid.n_points * rate / nyquist))
-        raise ResolutionError(
-            f"kernel at (mu={mu!r}, nu={nu!r}) oscillates at {rate:.1f} rad "
+    need = int(np.ceil(grid.n_points * rate / nyquist))
+    return (f"kernel at (mu={mu!r}, nu={nu!r}) oscillates at {rate:.1f} rad "
             f"per unit, above the grid Nyquist {nyquist:.1f}; "
             f"suggest n_points >= {need}")
 
@@ -217,75 +213,97 @@ def _transform_samples(values: np.ndarray, grid: SpatialGrid, mu: float,
     return conv[..., :out_grid.n_points] * plan.post
 
 
-def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunction:
-    """Apply the quadrature transform, returning the transformed state.
+def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
+                out_grid: SpatialGrid) -> np.ndarray:
+    """Transform a (..., N) stack at (mu, nu) onto ``out_grid``, up to an
+    X-dependent phase shared by every row.
 
-    The output lives on the input grid.  Unitarity is verified: if the
-    discrete norm moves off 1 by more than 1e-8 the output grid failed to
-    contain the transformed state and a ResolutionError is raised.
-
-    Parameters
-    ----------
-    psi : WaveFunction
-    mu, nu : float
-        Quadrature direction; |nu| must be at least NU_FLOOR, otherwise a
-        ScalingBranchError points the caller at :func:`tomogram`.
+    The position samples serve when the kernel rate is within pi/dx.
+    Otherwise, for |nu| <= |mu|, the unitary momentum samples on n >= 2N
+    wavenumbers are transformed at (nu, -mu).  That sum is periodic in
+    X/mu with period n dx; the samples vanish off their grid, so the result
+    is kept where X/mu is on the grid.  The kernel's spread
+    |nu| k_max/|mu| (at most pi/dx) sets n so that no periodic image
+    reaches the grid; hard-edged rows, whose spectra run to pi/dx, need
+    more than 2N.  Further from the axis the position side's
+    ResolutionError is raised.
     """
-    mu, nu = float(mu), float(nu)
-    if not (np.isfinite(mu) and np.isfinite(nu)):
-        raise InvalidArgumentError("mu and nu must be finite")
-    if abs(nu) < NU_FLOOR:
-        raise ScalingBranchError(
-            f"|nu| = {abs(nu)!r} below {NU_FLOOR}; the transform degenerates, "
-            "use tomogram() which handles this via the scaling branch")
-    grid = psi.grid
-    _check_kernel_resolution(psi.amplitudes, grid, mu, nu, grid)
-    out = _transform_samples(psi.amplitudes, grid, mu, nu, grid)
+    rate = _kernel_rate(values, grid, mu, nu, out_grid)
+    if rate <= np.pi / grid.dx:
+        return _transform_samples(values, grid, mu, nu, out_grid)
+    if abs(nu) > abs(mu):
+        raise ResolutionError(_undersampled(grid, mu, nu, rate))
+    n = 1 << (2 * grid.n_points - 1).bit_length()
+    phi, kgrid = _momentum(values, grid, n)
+    spread = abs(nu) * _reach(phi, kgrid.points) / abs(mu)
+    wide = grid.n_points + int(spread / grid.dx)
+    if wide > n:
+        n = 1 << (wide - 1).bit_length()
+        phi, kgrid = _momentum(values, grid, n)
+        spread = abs(nu) * _reach(phi, kgrid.points) / abs(mu)
+    if not spread < (n - grid.n_points + 1) * grid.dx:
+        raise ResolutionError(_undersampled(grid, mu, nu, rate))
+    y = out_grid.points / mu
+    return np.where((y >= grid.x_min) & (y <= grid.x_max),
+                    _transform_samples(phi, kgrid, nu, -mu, out_grid), 0.0)
+
+
+def _momentum(values: np.ndarray, grid: SpatialGrid,
+              n: int) -> tuple[np.ndarray, SpatialGrid]:
+    """Unitary momentum samples of a (..., N) stack on n wavenumbers of
+    spacing 2 pi/(n dx), centred on k = 0, with the wavenumber grid."""
+    dk = 2.0 * np.pi / (n * grid.dx)
+    kgrid = SpatialGrid(-0.5 * n * dk, dk, n)
+    phi = (np.fft.fftshift(np.fft.fft(values, n), axes=-1)
+           * (np.exp(-1j * kgrid.points * grid.x_min)
+              * (grid.dx / np.sqrt(2.0 * np.pi))))
+    return phi, kgrid
+
+
+def _check_norm(out: np.ndarray, grid: SpatialGrid) -> None:
+    """Unitarity: a transformed state keeps norm 1 within 1e-8."""
     nrm = float(np.sqrt(np.sum(np.abs(out) ** 2) * grid.dx))
-    if abs(nrm - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:
         raise ResolutionError(
             f"transform norm {nrm!r} off 1 beyond 1e-8; output grid cannot "
             f"contain the transformed state, suggest n_points >= "
             f"{2 * grid.n_points} with a wider extent")
-    return WaveFunction(grid, out, normalize=False, norm_tol=None)
 
 
-def _scaled_density(psi: WaveFunction, mu: float) -> np.ndarray:
-    """Scaling-branch density |psi(X/mu)|^2 / |mu| on psi's grid."""
-    x = psi.grid.points
-    dens = psi.density()
-    if mu == 1.0:
-        return dens.copy()
-    from scipy.interpolate import InterpolatedUnivariateSpline
-    spline = InterpolatedUnivariateSpline(x, dens, k=3, ext="zeros")
-    out = spline(x / mu) / abs(mu)
-    return np.where(out < 0.0, 0.0, out)
+def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunction:
+    """Apply the quadrature transform, returning the transformed state.
 
-
-def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
-    """Tomographic density of mu*x + nu*p for a pure state.
-
-    For |nu| >= NU_FLOOR this is |F psi|^2 with the quadrature transform F;
-    below the floor the scaling branch |psi(X/mu)|^2/|mu| is used.
+    The output lives on the input grid and carries the kernel's phase
+    exp(-i X^2/(2 mu nu)), which cannot be sampled near the position axis
+    (nu = 0 included); a ResolutionError there points at :func:`tomogram`.
+    A discrete norm off 1 by more than 1e-8 raises ResolutionError too.
     """
     mu, nu = float(mu), float(nu)
     if not (np.isfinite(mu) and np.isfinite(nu)):
         raise InvalidArgumentError("mu and nu must be finite")
-    if abs(mu) < NU_FLOOR and abs(nu) < NU_FLOOR:
-        raise InvalidArgumentError(
-            f"direction ({mu!r}, {nu!r}) too close to (0, 0)")
     grid = psi.grid
-    if abs(nu) >= NU_FLOOR:
-        f = fractional_transform(psi, mu, nu)
-        density = f.density()
-    else:
-        density = _scaled_density(psi, mu)
-        integral = float(density.sum() * grid.dx)
-        if abs(integral - 1.0) > 1e-6:
-            raise ResolutionError(
-                f"scaled density integrates to {integral!r}; grid cannot "
-                f"contain the support stretched by mu = {mu!r}")
-    return TomogramSlice(mu, nu, grid, density)
+    rate = _kernel_rate(psi.amplitudes, grid, mu, nu, grid)
+    if not rate <= np.pi / grid.dx:
+        why = (_undersampled(grid, mu, nu, rate) if nu else
+               f"the transform at (mu={mu!r}, nu=0.0) is singular")
+        raise ResolutionError(f"{why}; tomogram() computes this direction's density")
+    out = _transform_samples(psi.amplitudes, grid, mu, nu, grid)
+    _check_norm(out, grid)
+    return WaveFunction(grid, out, normalize=False, norm_tol=None)
+
+
+def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
+    """Tomographic density of mu*x + nu*p for a pure state: |psi|^2 at
+    (1, 0), elsewhere |F psi|^2 with the norm of F psi checked to 1e-8."""
+    mu, nu = float(mu), float(nu)
+    if not (np.isfinite(mu) and np.isfinite(nu)) or mu == nu == 0.0:
+        raise InvalidArgumentError("direction (mu, nu) must be finite, not (0, 0)")
+    grid = psi.grid
+    if (mu, nu) == (1.0, 0.0):
+        return TomogramSlice(mu, nu, grid, psi.density())
+    out = _quadrature(psi.amplitudes, grid, mu, nu, grid)
+    _check_norm(out, grid)
+    return TomogramSlice(mu, nu, grid, np.abs(out) ** 2)
 
 
 def tomogram_gaussian(state: GaussianState, mu: float, nu: float,

@@ -126,6 +126,20 @@ def test_reconstruct_round_trip_with_fidelity(tmp_path):
     assert manifest_of(rec)["command"] == "reconstruct"
 
 
+def test_reconstruct_near_axis_extra_exits_5(tmp_path, capsys):
+    truth = two_bump_csv(tmp_path, 2.5)
+    sim = tmp_path / "sim"
+    assert run("simulate", f"--state={truth}", "--direction=1,0",
+               "--direction=0.995,0.0998", f"--out={sim}") == 0
+    rec = tmp_path / "rec"
+    assert run("reconstruct", f"--in={sim}", f"--truth={truth}",
+               f"--out={rec}") == 5
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR insufficient-data: ")
+    with open(rec / "reconstruction.json") as fh:
+        assert json.load(fh)["status"] == "insufficient-data"
+
+
 def test_reconstruct_piecewise_method(tmp_path):
     truth = two_bump_csv(tmp_path, 1.2)
     sim = tmp_path / "sim"
@@ -376,6 +390,28 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code, status", [
+    (["simulate", "--state=vacuum", "--grid=-12,12,128", "--direction=1,0",
+      "--direction=8,0.05"], "resolution-error", 4),
+    (["simulate", "--state=thermal:3", "--direction=1,0"], "invalid-argument", 2),
+    (["reconstruct", "--in={pos}", "--breakpoints=0"], "insufficient-data", 5),
+    (["evolve", "--omega=constant:5", "--t-max=1", "--dt=1"],
+     "step-size-too-large", 4),
+    (["measure", "--in={empty}"], "invalid-argument", 2),
+])
+def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
+    pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
+    assert simulate_vacuum(pos, (1.0, 0.0)) == 0
+    empty.mkdir()
+    capsys.readouterr()
+    argv = [a.format(pos=pos, empty=empty) for a in argv]
+    assert run(*argv, f"--out={out}") == status
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"ERROR {code}: ")
+    if argv[0] in ("simulate", "evolve"):
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -413,6 +449,7 @@ verbs = [
     ["simulate", "--state=vacuum", grid, "--direction=1,0", "--direction=0,1",
      "--direction=0.6,0.8", f"--out={out}/vac"],
     ["measure", f"--in={out}/vac", "--assume-pure", f"--out={out}/meas"],
+    ["evolve", "--omega=constant:1", "--t-max=1", "--dt=1e-3", f"--out={out}/evo"],
 ]
 for argv in verbs:
     assert cli.main(argv) == 0, argv
@@ -431,6 +468,7 @@ def test_simulate_reconstruct_measure_never_import_scipy(tmp_path):
     assert proc.stdout.split() == ["[]"]
     assert (tmp_path / "rec" / "reconstruction.json").is_file()
     assert (tmp_path / "meas" / "completeness.json").is_file()
+    assert (tmp_path / "evo" / "trajectory.csv").is_file()
 
 
 def test_malformed_grid_exits_2(tmp_path, capsys):

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tomokit import core, dynamics, io, transform
 from tomokit.errors import ParseError
+
+import strategies
 
 
 @pytest.fixture()
@@ -22,6 +26,19 @@ def test_slice_round_trip_is_bit_exact(tmp_path, sample_slice):
     assert back.nu == sample_slice.nu
     assert back.grid == sample_slice.grid
     assert np.array_equal(back.density, sample_slice.density)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=strategies.directions(), x0=st.floats(-1.5, 1.5),
+       p0=st.floats(-1.5, 1.5))
+def test_slice_round_trip_is_bit_exact_in_every_direction(grid, d, x0, p0):
+    s = transform.tomogram(core.sample_state(core.GaussianPreset(x0, p0), grid), *d)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "slice.csv")
+        io.write_slice_csv(path, s)
+        back = io.read_slice_csv(path)
+    assert (back.mu, back.nu, back.grid) == (s.mu, s.nu, s.grid)
+    assert np.array_equal(back.density, s.density)
 
 
 def test_slice_rewrite_is_deterministic(tmp_path, sample_slice):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tomokit import core, reconstruct, transform
 from tomokit.errors import (
@@ -9,6 +10,8 @@ from tomokit.errors import (
     ResolutionError,
 )
 from tomokit.reconstruct import PhaseRecoveryResult, PiecewiseState
+
+import strategies
 
 
 def two_bump(grid, phi, height=0.8, width2=0.15):
@@ -146,11 +149,22 @@ def test_segment_transforms_detect_lost_orthogonality(grid, vacuum):
         reconstruct.segment_transforms(st, grid, 0.7, 0.7)
 
 
-def test_segment_transforms_need_oscillatory_direction(grid):
-    pos = transform.tomogram(two_bump(grid, 0.9), 1.0, 0.0)
-    st = reconstruct.piecewise_from_position([0.0], pos)
-    with pytest.raises(InvalidArgumentError):
-        reconstruct.segment_transforms(st, grid, 1.0, 0.0)
+@settings(max_examples=25, deadline=None)
+@example(d=(1.0, 0.0), phi=0.9, height=0.8)
+@example(d=(1.0, 1e-9), phi=0.9, height=0.8)
+@example(d=(-0.999, 0.04), phi=0.9, height=0.8)
+@example(d=(2.0, 0.0), phi=0.9, height=0.8)
+@given(d=strategies.directions(oblique=False),
+       phi=st.floats(0.0, 2.0 * np.pi), height=st.floats(0.3, 1.0))
+def test_near_axis_segment_transforms_sum_to_slice(grid, d, phi, height):
+    # segment_transforms runs the Gram check; the phase-weighted sum of the
+    # transformed segments is the transform of the assembled state.
+    pos = transform.tomogram(two_bump(grid, phi, height), 1.0, 0.0)
+    st_ = reconstruct.piecewise_from_position([0.0], pos, phases=[0.0, phi])
+    tset = reconstruct.segment_transforms(st_, grid, *d)
+    total = np.abs(np.exp(1j * st_.phases) @ tset.waves) ** 2
+    want = transform.tomogram(reconstruct.assemble_state(st_, grid), *d)
+    assert np.max(np.abs(total - want.density)) < 1e-12
 
 
 # ---------------------------------------------------------------- recovery
@@ -225,6 +239,23 @@ def test_recover_rejects_scaling_branch_extras(grid, directions):
     pos = transform.tomogram(psi, 1.0, 0.0)
     with pytest.raises(InvalidArgumentError, match="no phase information"):
         reconstruct.recover_phases_nodes(pos, [pos], [0.0])
+
+
+def test_near_axis_extra_is_insufficient(grid):
+    # 0.1 rad off the axis the cross terms sit at the noise level; phases
+    # read off them used to come back as "ok" with the wrong value.
+    psi = two_bump(grid, 2.5)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    nodes = reconstruct.detect_nodes(pos)
+    near = [transform.tomogram(psi, 0.995, 0.0998)]
+    with pytest.raises(InsufficientDataError, match="standard error"):
+        reconstruct.recover_phases_nodes(pos, near, nodes)
+    with pytest.raises(InsufficientDataError, match="standard error"):
+        reconstruct.recover_phases_piecewise([0.0], pos, near * 2)
+    res = reconstruct.recover_phases_nodes(
+        pos, [transform.tomogram(psi, np.cos(0.26), np.sin(0.26))], nodes)
+    assert res.status == "ok"
+    assert abs(res.phases[1] - 2.5) < 1e-3
 
 
 def test_empty_segment_flags_ill_conditioned(grid, directions):

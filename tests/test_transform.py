@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tomokit import core, transform
 from tomokit.errors import (
     InvalidArgumentError,
     InvalidCovarianceError,
     ResolutionError,
-    ScalingBranchError,
 )
 from tomokit.transform import GaussianState, TomogramSlice
 
 import oracles
+import strategies
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +99,13 @@ def test_double_fourier_is_parity(vacuum, grid):
     assert np.max(np.abs(twice.amplitudes * phase - mirrored)) < 1e-7
 
 
-def test_transform_rejects_tiny_nu(vacuum):
-    with pytest.raises(ScalingBranchError):
-        transform.fractional_transform(vacuum, 1.0, 0.0)
-    with pytest.raises(ScalingBranchError):
-        transform.fractional_transform(vacuum, 1.0, 0.5 * transform.NU_FLOOR)
+@pytest.mark.parametrize("nu", [0.0, 1e-9, 0.05])
+def test_transform_refuses_near_axis(vacuum, nu):
+    # The amplitude carries exp(-i X^2/(2 mu nu)), which the grid cannot
+    # sample near the axis; the density is tomogram()'s job.
+    with pytest.raises(ResolutionError, match=r"tomogram\(\)") as info:
+        transform.fractional_transform(vacuum, np.sqrt(1.0 - nu ** 2), nu)
+    assert "inf" not in str(info.value)
 
 
 def test_tomogram_scaling_branch_identity(vacuum):
@@ -129,14 +132,21 @@ def test_tomogram_rejects_null_direction(vacuum):
         transform.tomogram(vacuum, np.nan, 1.0)
 
 
-def test_nu_floor_boundary_dispatch(vacuum):
-    # At the floor the transform branch runs but its kernel cannot be
-    # resolved on any sane grid; just below, the scaling branch succeeds.
-    with pytest.raises(ResolutionError):
-        transform.tomogram(vacuum, 1.0, transform.NU_FLOOR)
-    s = transform.tomogram(vacuum, 1.0, 0.99 * transform.NU_FLOOR)
-    assert s.nu == pytest.approx(0.99 * transform.NU_FLOOR)
-    assert np.max(np.abs(s.density - vacuum.density())) < 1e-12
+@pytest.mark.parametrize("nu", [0.05, 1e-3, 1e-6, 0.99e-6, 1e-9, -1e-4])
+def test_near_axis_tomogram_matches_closed_form(vacuum, grid, nu):
+    # Unit directions between the position axis and about 0.07 rad, which
+    # the position samples cannot resolve, come from the momentum samples.
+    mu = np.sqrt(1.0 - nu ** 2)
+    s = transform.tomogram(vacuum, mu, nu)
+    want = oracles.gaussian_slice_density(0.5, 0.5, 0.0, mu, nu, grid.points)
+    assert (s.mu, s.nu) == (mu, nu)
+    assert np.max(np.abs(s.density - want)) < 1e-12
+
+
+@pytest.mark.parametrize("mu,nu", [(0.0, 0.01), (1e-9, 0.01)])
+def test_unresolvable_direction_suggests_grid(vacuum, mu, nu):
+    with pytest.raises(ResolutionError, match="n_points >= 9172"):
+        transform.tomogram(vacuum, mu, nu)
 
 
 def test_resolution_precheck_suggests_larger_grid(vacuum):
@@ -234,3 +244,60 @@ def test_fresnel_matches_transform_path(vacuum):
 def test_fresnel_rejects_zero_nu(vacuum):
     with pytest.raises(InvalidArgumentError):
         transform.fresnel_tomogram(vacuum, 0.0)
+
+
+# ---------------------------------------------------------------- properties
+# Every direction, |nu| down to 1e-9, nu = 0 with mu != 1, and mu < 0.
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=strategies.directions(), x0=st.floats(-1.5, 1.5),
+       p0=st.floats(-1.5, 1.5), sigma=st.floats(0.6, 0.9))
+def test_displaced_gaussian_slices_match_closed_form(grid, d, x0, p0, sigma):
+    mu, nu = d
+    mean = mu * x0 + nu * p0
+    var = (mu * sigma) ** 2 + (nu / (2.0 * sigma)) ** 2
+    assume(abs(mean) + 8.0 * np.sqrt(var) < 12.0)
+    psi = core.sample_state(core.GaussianPreset(x0, p0, sigma), grid)
+    s = transform.tomogram(psi, mu, nu)
+    want = (np.exp(-(grid.points - mean) ** 2 / (2.0 * var))
+            / np.sqrt(2.0 * np.pi * var))
+    assert np.max(np.abs(s.density - want)) < 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=strategies.directions(), sxx=st.floats(0.3, 1.0), sxp=st.floats(-0.3, 0.3))
+def test_squeezed_gaussian_slices_match_tomogram_gaussian(grid, d, sxx, sxp):
+    state = GaussianState(sxx, (0.25 + sxp ** 2) / sxx, sxp)
+    psi = transform.sample_pure_gaussian(state, grid)
+    s = transform.tomogram(psi, *d)
+    ref = transform.tomogram_gaussian(state, *d, grid)
+    assert np.max(np.abs(s.density - ref.density)) < 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 8), d=strategies.directions())
+def test_fock_slices_are_rotation_invariant(grid, n, d):
+    # w(X; mu, nu) = |h_n(X/r)|^2 / r with r = |(mu, nu)|
+    r = np.hypot(*d)
+    psi = core.sample_state(core.FockPreset(n), grid)
+    s = transform.tomogram(psi, *d)
+    want = oracles.hermite_psi(n, grid.points / r) ** 2 / r
+    assert np.max(np.abs(s.density - want)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=strategies.directions(),
+       coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=4, max_size=4))
+def test_reflected_direction_reflects_slice(grid, d, coeffs):
+    # w(X; -mu, -nu) = w(-X; mu, nu); the default grid is symmetric about 0
+    c = np.array([a + 1j * b for a, b in coeffs])
+    assume(np.sum(np.abs(c) ** 2) > 0.01)
+    amps = sum(cn * core.sample_state(core.FockPreset(n), grid).amplitudes
+               for n, cn in enumerate(c))
+    psi = core.WaveFunction(grid, amps)
+    mu, nu = d
+    there = transform.tomogram(psi, mu, nu).density
+    back = transform.tomogram(psi, -mu, -nu).density
+    assert np.max(np.abs(back - there[::-1])) < 1e-12
