@@ -232,8 +232,8 @@ def _recovery_request(args: argparse.Namespace):
     """Check a --recover-at request before anything is integrated or
     written; returns (omega, initial state, sorted distinct times).
 
-    Recovery synthesizes the position history itself, which needs a
-    closed-form propagator: constant frequency, no driving force.
+    Recovery builds the position history from transform slices of the
+    initial state, which needs constant frequency and no driving force.
     """
     if args.omega.name != "constant":
         raise UnsupportedError(
@@ -269,13 +269,13 @@ def cmd_evolve(args: argparse.Namespace) -> None:
 
 
 def cmd_measure(args: argparse.Namespace) -> None:
-    _ensure_outdir(args.out)
     slices = _load_slices(args.in_dir)
     if not slices:
         raise InvalidArgumentError(f"no slice_*.csv files in {args.in_dir!r}")
     report = completeness.gaussian_completeness(
         completeness.MeasurementSet(tuple(slices)),
         purity_assumed=args.assume_pure)
+    _ensure_outdir(args.out)
     io.write_json(os.path.join(args.out, "completeness.json"), report.payload())
     _write_manifest(args.out, "measure", ["completeness.json"])
 

@@ -1,16 +1,16 @@
-"""Free flight, harmonic evolution and tomogram transport.
+"""Classical oscillator pair, position histories and tomogram transport.
 
-Two complementary views are implemented.  The wavefunction view propagates
-amplitudes directly (spectral free flight, split-step harmonic evolution).
-The tomographic view never touches amplitudes: a classical trajectory pair
-(epsilon, delta) solved from
+A classical trajectory pair (epsilon, delta) solved from
 
     epsilon'' + omega(t)^2 epsilon = 0,   epsilon(0) = 1, epsilon'(0) = i
     delta'    = -(i/sqrt 2) epsilon f(t), delta(0) = 0
 
 carries the cumulative quadrature distribution along characteristics, and a
 position history recorded over time yields initial-state tomograms in
-directions the trajectory visited.
+directions the trajectory visited (Mancini, Man'ko & Tombesi 1996).  Read
+the other way, the position density at time t is an initial tomogram, so
+histories are built as transform slices and amplitudes are never
+propagated.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SpatialGrid, WaveFunction, _cumulative_trapezoid
+from .core import SpatialGrid, WaveFunction
 from .errors import (
     DegenerateDirectionError,
     InvalidArgumentError,
@@ -29,7 +29,7 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .transform import TomogramSlice, tomogram
+from .transform import TomogramSlice, _quadrature, tomogram
 
 __all__ = [
     "OscillatorSpec",
@@ -39,19 +39,12 @@ __all__ = [
     "linear_ramp",
     "cosine_modulated",
     "rate_preset",
-    "free_propagate",
-    "harmonic_propagate",
-    "free_position_history",
     "harmonic_position_history",
     "initial_tomogram_from_position_history",
     "solve_epsilon_delta",
     "evolve_distribution",
     "initial_tomogram_from_oscillator",
 ]
-
-# Relative edge amplitude above which a propagated state is considered to
-# have wrapped around the periodic grid.
-_EDGE_LEAK_REL = 1e-4
 
 # Wronskian drift at which fixed-step integration is rejected.
 _WRONSKIAN_RAISE = 1e-6
@@ -120,8 +113,8 @@ class OscillatorSpec:
 
 
 class OscillatorTrajectory:
-    """Sampled (epsilon, epsilon', delta) with cubic interpolation in t;
-    the interpolants are built on the first call to :meth:`at`."""
+    """Sampled (epsilon, epsilon', delta), interpolated in t by the cubic
+    through the four samples around t."""
 
     def __init__(self, times, epsilon, epsilon_dot, delta):
         t = np.asarray(times, dtype=float)
@@ -140,7 +133,6 @@ class OscillatorTrajectory:
         self.epsilon = eps
         self.epsilon_dot = epsd
         self.delta = dlt
-        self._interp = None
 
     def wronskian(self) -> np.ndarray:
         """Im(conj(epsilon) epsilon') at the sample times; identically 1 in
@@ -148,19 +140,21 @@ class OscillatorTrajectory:
         return np.imag(np.conj(self.epsilon) * self.epsilon_dot)
 
     def at(self, t: float) -> tuple[complex, complex, complex]:
-        """Interpolated (epsilon, epsilon', delta) at time t."""
+        """(epsilon, epsilon', delta) at time t by Lagrange interpolation
+        through the four samples around t (all of them when fewer); a
+        sample time returns that sample exactly."""
         t = float(t)
         lo, hi = self.times[0], self.times[-1]
-        if t < lo - 1e-12 or t > hi + 1e-12:
+        if not lo - 1e-12 <= t <= hi + 1e-12:
             raise OutOfRangeError(
                 f"t = {t!r} outside trajectory range [{lo!r}, {hi!r}]")
         t = min(max(t, lo), hi)
-        if self._interp is None:
-            from scipy.interpolate import make_interp_spline
-            k = min(3, self.times.size - 1)
-            self._interp = [make_interp_spline(self.times, arr, k=k)
-                            for arr in (self.epsilon, self.epsilon_dot, self.delta)]
-        return tuple(complex(f(t)) for f in self._interp)
+        m = min(4, self.times.size)
+        i = min(max(int(np.searchsorted(self.times, t)) - 2, 0), self.times.size - m)
+        nodes = self.times[i:i + m]
+        weights = [math.prod((t - b) / (a - b) for b in nodes if b != a) for a in nodes]
+        return tuple(complex(np.dot(weights, arr[i:i + m]))
+                     for arr in (self.epsilon, self.epsilon_dot, self.delta))
 
 
 def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
@@ -227,66 +221,8 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
                                 np.array(ds))
 
 
-def _check_edges(amps: np.ndarray, what: str) -> None:
-    peak = np.abs(amps).max()
-    edge = max(abs(amps[0]), abs(amps[-1]))
-    if edge > _EDGE_LEAK_REL * peak:
-        raise ResolutionError(
-            f"{what}: edge amplitude {edge/peak:.2e} of peak; the spread "
-            "state exceeds the grid, widen the extent")
-
-
-def free_propagate(psi: WaveFunction, t: float) -> WaveFunction:
-    """Free flight for time t by spectral multiplication exp(-i k^2 t / 2).
-
-    t = 0 returns the input unchanged.  Exact for band-limited states; the
-    semigroup property holds to rounding.
-    """
-    t = float(t)
-    if not np.isfinite(t):
-        raise InvalidArgumentError("t must be finite")
-    if t == 0.0:
-        return psi
-    grid = psi.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    out = np.fft.ifft(np.fft.fft(psi.amplitudes) * np.exp(-0.5j * k ** 2 * t))
-    _check_edges(out, f"free_propagate(t={t!r})")
-    return WaveFunction(grid, out, normalize=False, norm_tol=None)
-
-
-def harmonic_propagate(psi: WaveFunction, t: float, omega: float = 1.0,
-                       dt_target: float = 2e-3) -> WaveFunction:
-    """Constant-frequency harmonic evolution by Strang split-step.
-
-    This is the independent evolution oracle: H = p^2/2 + omega^2 x^2/2,
-    second-order accurate in the substep, with omega = 0 reducing exactly
-    to free flight.
-    """
-    t = float(t)
-    if not (np.isfinite(t) and np.isfinite(omega)):
-        raise InvalidArgumentError("t and omega must be finite")
-    if not np.isfinite(dt_target) or dt_target <= 0:
-        raise InvalidArgumentError("dt_target must be positive")
-    if t == 0.0:
-        return psi
-    grid = psi.grid
-    n_steps = max(1, int(np.ceil(abs(t) / dt_target)))
-    h = t / n_steps
-    x = grid.points
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    half_v = np.exp(-0.25j * (omega ** 2) * x ** 2 * h)
-    kin = np.exp(-0.5j * k ** 2 * h)
-    amps = psi.amplitudes.copy()
-    for _ in range(n_steps):
-        amps *= half_v
-        amps = np.fft.ifft(np.fft.fft(amps) * kin)
-        amps *= half_v
-    _check_edges(amps, f"harmonic_propagate(t={t!r}, omega={omega!r})")
-    return WaveFunction(grid, amps, normalize=False, norm_tol=None)
-
-
 class PositionHistory:
-    """Position-density snapshots rho(t_i, x) with cubic time interpolation.
+    """Position-density snapshots rho(t_i, x) at the recorded times.
 
     All slices must be position tomograms ((mu, nu) = (1, 0) to 1e-12) on
     one shared grid, at strictly increasing times.
@@ -296,7 +232,7 @@ class PositionHistory:
         t = np.asarray(times, dtype=float)
         if t.ndim != 1 or t.size == 0 or t.size != len(slices):
             raise InvalidArgumentError("need one time per slice")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise InvalidArgumentError("times must be strictly increasing")
         grid = slices[0].grid
         for s in slices:
@@ -310,50 +246,43 @@ class PositionHistory:
         self.times = t
         self.slices = list(slices)
         self._grid = grid
-        self._stack = np.stack([s.density for s in slices])
-        self._spline = None
-        if t.size > 1:
-            from scipy.interpolate import make_interp_spline
-            self._spline = make_interp_spline(t, self._stack, k=min(3, t.size - 1),
-                                              axis=0)
 
     @property
     def grid(self) -> SpatialGrid:
         return self._grid
 
     def density_at(self, t: float) -> np.ndarray:
-        """Interpolated position density at time t (clipped nonnegative)."""
+        """Position density recorded at time t, matched to 1e-12 relative;
+        any other time raises OutOfRangeError."""
         t = float(t)
-        lo, hi = self.times[0], self.times[-1]
-        if t < lo - 1e-12 or t > hi + 1e-12:
+        hit = np.nonzero(np.abs(self.times - t) <= 1e-12 * max(1.0, abs(t)))[0]
+        if hit.size == 0:
             raise OutOfRangeError(
-                f"t = {t!r} outside history range [{lo!r}, {hi!r}]")
-        if self._spline is None:
-            return self._stack[0].copy()
-        d = self._spline(min(max(t, lo), hi))
-        return np.where(d < 0.0, 0.0, d)
+                f"t = {t!r} is not a recorded time; the history holds "
+                f"{self.times.tolist()!r}")
+        return self.slices[hit[0]].density
 
 
-def free_position_history(psi0: WaveFunction, times) -> PositionHistory:
-    """Record |psi(t, x)|^2 under free flight at the given times."""
+def harmonic_position_history(psi0: WaveFunction, times,
+                              omega: float = 1.0) -> PositionHistory:
+    """Record |psi(t, x)|^2 under H = p^2/2 + omega^2 x^2/2.
+
+    The position density at time t is the initial tomogram at
+    (cos omega t, sin omega t/omega), so each slice is one transform of
+    psi0, relabelled (1, 0).  The second component is written
+    t sinc(omega t/pi), which is exact at omega = 0 (free flight).  The
+    transform's unitarity check raises ResolutionError when the evolved
+    state leaves the grid.
+    """
     times = np.asarray(times, dtype=float)
-    slices = [tomogram(free_propagate(psi0, t), 1.0, 0.0) for t in times]
-    return PositionHistory(times, slices)
-
-
-def harmonic_position_history(psi0: WaveFunction, times, omega: float = 1.0,
-                              dt_target: float = 2e-3) -> PositionHistory:
-    """Record |psi(t, x)|^2 under constant-omega harmonic evolution."""
-    times = np.asarray(times, dtype=float)
-    if times.size and times[0] < 0:
+    if not np.isfinite(omega):
+        raise InvalidArgumentError("omega must be finite")
+    if times.size and not times[0] >= 0:
         raise InvalidArgumentError("history times must start at t >= 0")
     slices = []
-    state = psi0
-    prev = 0.0
     for t in times:
-        state = harmonic_propagate(state, t - prev, omega, dt_target)
-        prev = t
-        slices.append(tomogram(state, 1.0, 0.0))
+        s = tomogram(psi0, np.cos(omega * t), t * np.sinc(omega * t / np.pi))
+        slices.append(TomogramSlice(1.0, 0.0, psi0.grid, s.density))
     return PositionHistory(times, slices)
 
 
@@ -362,8 +291,9 @@ def initial_tomogram_from_position_history(history: PositionHistory, mu: float,
     """Initial-state tomogram at (mu, nu) read off free-flight position data.
 
     Free flight reaches the direction (mu, nu) at time t* = nu/mu through
-    density(X) = rho(t*, X/mu) / |mu|.  Interpolation is cubic in both t
-    and X; the result is checked to stay normalized within 1e-5 and then
+    density(X) = rho(t*, X/mu) / |mu|, so the history must hold t*.  The
+    resampling at X/mu is the band-limited one of the transform at
+    (mu, 0); the result is checked to stay normalized within 1e-5 and then
     rescaled exactly.
     """
     mu, nu = float(mu), float(nu)
@@ -372,17 +302,12 @@ def initial_tomogram_from_position_history(history: PositionHistory, mu: float,
     if mu == 0.0:
         raise InvalidArgumentError(
             "mu = 0 is not reachable from free-flight position data")
-    t_star = nu / mu
-    dens_t = history.density_at(t_star)
+    dens_t = history.density_at(nu / mu)
     grid = history.grid
-    x = grid.points
     if mu == 1.0:
         out = dens_t
     else:
-        from scipy.interpolate import InterpolatedUnivariateSpline
-        spline = InterpolatedUnivariateSpline(x, dens_t, k=3, ext="zeros")
-        out = spline(x / mu) / abs(mu)
-        out = np.where(out < 0.0, 0.0, out)
+        out = np.abs(_quadrature(dens_t, grid, mu, 0.0, grid)) / np.sqrt(abs(mu))
     integral = float(out.sum() * grid.dx)
     if abs(integral - 1.0) > 1e-5:
         raise ResolutionError(
@@ -422,25 +347,26 @@ def initial_tomogram_from_oscillator(history: PositionHistory,
                                      t: float) -> TomogramSlice:
     """Initial-state tomogram in the direction (Re eps(t), Im eps(t)).
 
-    Builds the cumulative distribution of the position slice at time t,
-    shifts its argument by -sqrt(2) Re(eps conj(delta)), and differentiates
-    in X by central differences.  The result is normalized within 1e-5 and
-    rescaled exactly.
+    Reads the position slice at time t and shifts its argument by
+    -sqrt(2) Re(eps conj(delta)).  A zero shift, as under zero force, is a
+    relabelling and returns the slice as recorded.  Otherwise the density
+    is shifted spectrally; the FFT is zero-padded to at least 2N samples
+    and past the shift, so mass carried off the grid lands in the padding
+    instead of wrapping back onto the grid.  The result is normalized
+    within 1e-5 and rescaled exactly.
     """
     eps, _epsd, delta = traj.at(t)
     if np.hypot(eps.real, eps.imag) < 1e-12:
         raise DegenerateDirectionError(f"epsilon vanished at t = {t!r}")
     dens_t = history.density_at(t)
     grid = history.grid
-    if abs(eps - 1.0) <= 1e-12 and abs(delta) <= 1e-12:
-        # the transport map is the identity; skip the lossy differentiation
-        return TomogramSlice(1.0, 0.0, grid, dens_t, renormalize=True)
-    from scipy.interpolate import InterpolatedUnivariateSpline
-    x = grid.points
-    cdf = _cumulative_trapezoid(dens_t, x)
     shift = np.sqrt(2.0) * (eps * np.conj(delta)).real
-    spline = InterpolatedUnivariateSpline(x, cdf, k=3, ext="const")
-    out = np.gradient(spline(x - shift), x)
+    if shift == 0.0:
+        return TomogramSlice(eps.real, eps.imag, grid, dens_t, renormalize=True)
+    n = 1 << (2 * grid.n_points + int(abs(shift) / grid.dx) - 1).bit_length()
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    out = np.fft.ifft(np.fft.fft(dens_t, n) * np.exp(-1j * k * shift))
+    out = out[:grid.n_points].real
     out = np.where(out < 0.0, 0.0, out)
     integral = float(out.sum() * grid.dx)
     if abs(integral - 1.0) > 1e-5:

@@ -36,7 +36,6 @@ __all__ = [
     "fractional_transform",
     "tomogram",
     "tomogram_gaussian",
-    "fresnel_tomogram",
     "sample_pure_gaussian",
 ]
 
@@ -261,13 +260,23 @@ def _momentum(values: np.ndarray, grid: SpatialGrid,
 
 
 def _check_norm(out: np.ndarray, grid: SpatialGrid) -> None:
-    """Unitarity: a transformed state keeps norm 1 within 1e-8."""
+    """Unitarity: a transformed state keeps norm 1 within 1e-8.
+
+    Norm lost with amplitude at a grid edge means the output spills off
+    the grid; norm lost with none there (or no output at all) means the
+    slice is narrower than dx, and w(X; l mu, l nu) = w(X/l; mu, nu)/|l|.
+    """
     nrm = float(np.sqrt(np.sum(np.abs(out) ** 2) * grid.dx))
-    if not abs(nrm - 1.0) <= 1e-8:
-        raise ResolutionError(
-            f"transform norm {nrm!r} off 1 beyond 1e-8; output grid cannot "
-            f"contain the transformed state, suggest n_points >= "
-            f"{2 * grid.n_points} with a wider extent")
+    if abs(nrm - 1.0) <= 1e-8:
+        return
+    mag = np.abs(out)
+    if max(mag[0], mag[-1]) > 1e-8 * mag.max():
+        advice = (f"output grid cannot contain the transformed state, suggest "
+                  f"n_points >= {2 * grid.n_points} with a wider extent")
+    else:
+        advice = ("the slice is narrower than the grid spacing, suggest a "
+                  "finer grid or a longer direction")
+    raise ResolutionError(f"transform norm {nrm!r} off 1 beyond 1e-8; {advice}")
 
 
 def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunction:
@@ -328,36 +337,6 @@ def tomogram_gaussian(state: GaussianState, mu: float, nu: float,
             f"Gaussian slice with variance {v!r} integrates to {integral!r} "
             "on this grid; widen the extent")
     return TomogramSlice(mu, nu, grid, density)
-
-
-def fresnel_tomogram(psi0: WaveFunction, nu: float) -> TomogramSlice:
-    """Free-particle tomogram by direct Fresnel quadrature.
-
-    Propagates psi0 through the Fresnel kernel
-    (2 pi i nu)^(-1/2) exp(i (X-Y)^2 / (2 nu)) by explicit O(N^2) summation
-    and squares the result.  The slice is labeled (1, nu): it equals the
-    initial-state tomogram in that direction and the position density after
-    free flight for time nu.
-    """
-    nu = float(nu)
-    if nu == 0.0 or not np.isfinite(nu):
-        raise InvalidArgumentError("nu must be finite and nonzero")
-    grid = psi0.grid
-    x = grid.points
-    weighted = psi0.amplitudes * grid.dx
-    pref = 1.0 / (2.0 * np.pi * abs(nu))
-    density = np.empty(grid.n_points)
-    block = 256
-    for lo in range(0, grid.n_points, block):
-        xb = x[lo:lo + block, None]
-        kernel = np.exp(1j * (xb - x[None, :]) ** 2 / (2.0 * nu))
-        density[lo:lo + block] = pref * np.abs(kernel @ weighted) ** 2
-    integral = float(density.sum() * grid.dx)
-    if abs(integral - 1.0) > 1e-6:
-        raise ResolutionError(
-            f"Fresnel slice at nu = {nu!r} integrates to {integral!r}; the "
-            "spread state leaks off the grid, widen the extent")
-    return TomogramSlice(1.0, nu, grid, density)
 
 
 def sample_pure_gaussian(state: GaussianState, grid: SpatialGrid) -> WaveFunction:

@@ -43,6 +43,21 @@ def split_step_kinetic_first(values, x, t, omega, n_steps):
     return out
 
 
+def free_propagate(values, x, t):
+    """Free flight for time t by spectral multiplication exp(-i k^2 t/2)."""
+    k = 2.0 * np.pi * np.fft.fftfreq(x.size, x[1] - x[0])
+    return np.fft.ifft(np.fft.fft(values) * np.exp(-0.5j * k ** 2 * t))
+
+
+def fresnel_tomogram(values, x, nu):
+    """Density after free flight for time nu by O(N^2) summation of the
+    Fresnel kernel (2 pi i nu)^(-1/2) exp(i (X - Y)^2/(2 nu)): the initial
+    tomogram at (1, nu)."""
+    dx = x[1] - x[0]
+    kernel = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * nu))
+    return np.abs(kernel @ values * dx) ** 2 / (2.0 * np.pi * abs(nu))
+
+
 def mixture_entropy_two(w1, w2, overlap):
     """Entropy of w1|a><a| + w2|b><b| from the 2x2 spectrum."""
     disc = np.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * abs(overlap) ** 2)

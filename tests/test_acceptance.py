@@ -138,16 +138,19 @@ def test_criterion_5_free_flight_identities():
     with criterion("Fresnel identity and free-flight history recovery"):
         wide = core.make_grid(-20.0, 20.0, 2048)
         psi0 = core.sample_state(core.GaussianPreset(), wide)
+        x = wide.points
         for nu in (0.25, 1.0, 2.0):
-            fresnel = transform.fresnel_tomogram(psi0, nu)
-            flown = transform.tomogram(dynamics.free_propagate(psi0, nu),
-                                       1.0, 0.0)
-            assert np.max(np.abs(fresnel.density - flown.density)) <= 1e-6
+            fresnel = oracles.fresnel_tomogram(psi0.amplitudes, x, nu)
+            sliced = transform.tomogram(psi0, 1.0, nu)
+            assert np.max(np.abs(fresnel - sliced.density)) <= 1e-6
 
         mus = (0.5, 1.0, 2.0)
         nus = (0.25, 1.0, 2.0)
         times = sorted({nu / mu for mu in mus for nu in nus})
-        history = dynamics.free_position_history(psi0, times)
+        flown = [oracles.free_propagate(psi0.amplitudes, x, t) for t in times]
+        history = dynamics.PositionHistory(times, [
+            transform.TomogramSlice(1.0, 0.0, wide, np.abs(a) ** 2)
+            for a in flown])
         for mu in mus:
             for nu in nus:
                 rec = dynamics.initial_tomogram_from_position_history(
@@ -168,7 +171,13 @@ def test_criterion_6_oscillator_dynamics(grid):
 
         psi0 = core.sample_state(core.GaussianPreset(x0=1.0), grid)
         recover_times = [k * np.pi / 8 for k in range(8)]
-        history = dynamics.harmonic_position_history(psi0, recover_times)
+        # fine-step split-step densities, independent of the transform
+        flown = [oracles.split_step_kinetic_first(
+            psi0.amplitudes, grid.points, t, 1.0, max(1, round(t / 1e-3)))
+            for t in recover_times]
+        history = dynamics.PositionHistory(recover_times, [
+            transform.TomogramSlice(1.0, 0.0, grid, np.abs(a) ** 2)
+            for a in flown])
         spec = dynamics.OscillatorSpec(dynamics.constant_rate(1.0),
                                        dynamics.constant_rate(0.0),
                                        recover_times[-1], 1e-3)

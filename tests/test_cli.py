@@ -408,8 +408,19 @@ def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status
     assert run(*argv, f"--out={out}") == status
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"ERROR {code}: ")
-    if argv[0] in ("simulate", "evolve"):
+    if argv[0] in ("simulate", "evolve", "measure"):
         assert not out.exists()
+
+
+def test_simulate_slice_narrower_than_grid_spacing_exits_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run("simulate", "--state=vacuum", "--direction=1e-6,0", f"--out={out}")
+    assert rc == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR resolution-error: ")
+    assert "narrower than the grid spacing" in line
+    assert "wider extent" not in line
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- parser
@@ -450,6 +461,8 @@ verbs = [
      "--direction=0.6,0.8", f"--out={out}/vac"],
     ["measure", f"--in={out}/vac", "--assume-pure", f"--out={out}/meas"],
     ["evolve", "--omega=constant:1", "--t-max=1", "--dt=1e-3", f"--out={out}/evo"],
+    ["evolve", "--omega=constant:1", "--t-max=2", "--dt=1e-3", "--state=vacuum",
+     grid, "--recover-at=0,1,2", f"--out={out}/rec_evo"],
 ]
 for argv in verbs:
     assert cli.main(argv) == 0, argv
@@ -469,6 +482,7 @@ def test_simulate_reconstruct_measure_never_import_scipy(tmp_path):
     assert (tmp_path / "rec" / "reconstruction.json").is_file()
     assert (tmp_path / "meas" / "completeness.json").is_file()
     assert (tmp_path / "evo" / "trajectory.csv").is_file()
+    assert (tmp_path / "rec_evo" / "recovered_002.csv").is_file()
 
 
 def test_malformed_grid_exits_2(tmp_path, capsys):

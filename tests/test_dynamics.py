@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from tomokit import core, dynamics, transform
@@ -94,6 +94,18 @@ def test_trajectory_range_checked():
         traj.at(-0.1)
 
 
+def test_non_finite_times_raise(vacuum):
+    traj = dynamics.solve_epsilon_delta(make_spec(t_max=1.0))
+    hist = dynamics.harmonic_position_history(vacuum, [0.0, 0.5])
+    with pytest.raises(OutOfRangeError):
+        traj.at(np.nan)
+    with pytest.raises(OutOfRangeError):
+        hist.density_at(np.nan)
+    with pytest.raises(OutOfRangeError):
+        dynamics.evolve_distribution(lambda X, m, n: 0.5, traj, np.nan, 0.0,
+                                     1.0, 0.0)
+
+
 def test_coarse_step_raises():
     with pytest.raises(StepSizeError, match="reduce dt"):
         dynamics.solve_epsilon_delta(make_spec(omega=5.0, t_max=4.0, dt=0.5))
@@ -159,55 +171,79 @@ def test_trajectory_rejects_wrong_start():
         dynamics.OscillatorTrajectory(t, [2.0, 1.0], [1j, 1j], [0.0, 0.0])
 
 
-# ---------------------------------------------------------------- propagators
+# ---------------------------------------------------------------- histories
+
+
+def gaussian_density(x, mean, var):
+    return np.exp(-(x - mean) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
 def test_free_flight_spreads_vacuum(grid, vacuum):
     t = 1.5
-    out = dynamics.free_propagate(vacuum, t)
-    var = float(np.sum(grid.points ** 2 * out.density()) * grid.dx)
+    hist = dynamics.harmonic_position_history(vacuum, [0.0, t], 0.0)
+    var = float(np.sum(grid.points ** 2 * hist.density_at(t)) * grid.dx)
     assert abs(var - 0.5 * (1.0 + t ** 2)) < 1e-8
-    assert dynamics.free_propagate(vacuum, 0.0) is vacuum
+    assert np.array_equal(hist.density_at(0.0), vacuum.density())
 
 
 def test_free_flight_composes():
     g = core.make_grid(-16.0, 16.0, 2048)
     psi = core.sample_state(core.GaussianPreset(), g)
-    one = dynamics.free_propagate(dynamics.free_propagate(psi, 0.4), 0.6)
-    two = dynamics.free_propagate(psi, 1.0)
-    assert np.max(np.abs(one.amplitudes - two.amplitudes)) < 1e-12
+    flown = core.WaveFunction(
+        g, oracles.free_propagate(psi.amplitudes, g.points, 0.4))
+    one = transform.tomogram(flown, 1.0, 0.6)
+    two = dynamics.harmonic_position_history(psi, [1.0], 0.0)
+    assert np.max(np.abs(one.density - two.density_at(1.0))) < 1e-12
 
 
 def test_free_flight_detects_edge_leak(grid):
     kicked = core.sample_state(core.GaussianPreset(p0=8.0), grid)
-    with pytest.raises(ResolutionError, match="widen the extent"):
-        dynamics.free_propagate(kicked, 1.2)
+    with pytest.raises(ResolutionError, match="wider extent"):
+        dynamics.harmonic_position_history(kicked, [1.2], 0.0)
 
 
-def test_harmonic_propagate_matches_split_step_oracle(grid):
+def test_harmonic_history_matches_split_step_oracle(grid):
     psi = core.sample_state(core.GaussianPreset(x0=1.0), grid)
-    got = dynamics.harmonic_propagate(psi, 0.7, 1.3, dt_target=2e-3)
+    hist = dynamics.harmonic_position_history(psi, [0.7], 1.3)
     want = oracles.split_step_kinetic_first(psi.amplitudes, grid.points,
                                             0.7, 1.3, 2000)
-    assert np.max(np.abs(got.amplitudes - want)) < 1e-5
+    assert np.max(np.abs(hist.density_at(0.7) - np.abs(want) ** 2)) < 1e-5
 
 
 def test_harmonic_coherent_center_oscillates(grid):
     psi = core.sample_state(core.GaussianPreset(x0=1.0), grid)
+    hist = dynamics.harmonic_position_history(psi, [np.pi / 2, np.pi])
     for t in (np.pi / 2, np.pi):
-        ev = dynamics.harmonic_propagate(psi, t)
-        mean = float(np.sum(grid.points * ev.density()) * grid.dx)
+        mean = float(np.sum(grid.points * hist.density_at(t)) * grid.dx)
         assert abs(mean - np.cos(t)) < 1e-5
 
 
 def test_harmonic_full_period_fidelity(grid):
     psi = core.sample_state(core.GaussianPreset(x0=1.0), grid)
-    ev = dynamics.harmonic_propagate(psi, 2.0 * np.pi)
-    fid = abs(np.sum(np.conj(ev.amplitudes) * psi.amplitudes) * grid.dx)
-    assert fid > 1.0 - 1e-10
+    hist = dynamics.harmonic_position_history(psi, [2.0 * np.pi])
+    assert np.max(np.abs(hist.density_at(2.0 * np.pi) - psi.density())) < 1e-10
 
 
-# ---------------------------------------------------------------- histories
+@settings(max_examples=30, deadline=None)
+@given(omega=st.floats(0.0, 2.0), frac=st.floats(0.0, 1.0),
+       x0=st.floats(-1.5, 1.5), p0=st.floats(-1.0, 1.0),
+       sigma=st.floats(0.6, 0.9))
+@example(omega=1.0, frac=0.5, x0=1.0, p0=0.5, sigma=0.5)
+@example(omega=0.7, frac=1.0, x0=-1.0, p0=0.3, sigma=0.7)
+@example(omega=2.0, frac=0.25, x0=0.5, p0=-0.5, sigma=0.8)
+@example(omega=0.0, frac=0.5, x0=0.5, p0=0.2, sigma=0.8)
+def test_harmonic_history_matches_closed_form(grid, omega, frac, x0, p0, sigma):
+    # t in [0, 2 pi/omega], or in [0, 2] near free flight; frac = 1/2 and 1
+    # are t = pi/omega and 2 pi/omega
+    t = frac * (2.0 * np.pi / omega if omega > 0.05 else 2.0)
+    mu, nu = np.cos(omega * t), t * np.sinc(omega * t / np.pi)
+    mean = mu * x0 + nu * p0
+    var = (mu * sigma) ** 2 + (nu / (2.0 * sigma)) ** 2
+    assume(abs(mean) + 8.0 * np.sqrt(var) < 12.0)
+    psi = core.sample_state(core.GaussianPreset(x0, p0, sigma), grid)
+    hist = dynamics.harmonic_position_history(psi, [t], omega)
+    want = gaussian_density(grid.points, mean, var)
+    assert np.max(np.abs(hist.density_at(t) - want)) < 1e-11
 
 
 def test_position_history_validates(grid, vacuum):
@@ -221,18 +257,19 @@ def test_position_history_validates(grid, vacuum):
         PositionHistory([0.0, 1.0], [pos, mom])
 
 
-def test_position_history_interpolates(vacuum):
+def test_position_history_reads_recorded_times(vacuum):
     times = np.linspace(0.0, 1.0, 21)
-    hist = dynamics.free_position_history(vacuum, times)
-    t = 0.475
-    direct = dynamics.free_propagate(vacuum, t).density()
-    assert np.max(np.abs(hist.density_at(t) - direct)) < 1e-6
-    with pytest.raises(OutOfRangeError):
-        hist.density_at(1.5)
+    hist = dynamics.harmonic_position_history(vacuum, times, 0.0)
+    t = times[9]
+    direct = transform.tomogram(vacuum, 1.0, t).density
+    assert np.max(np.abs(hist.density_at(t) - direct)) <= 1e-12
+    for bad in (0.475, 1.5):
+        with pytest.raises(OutOfRangeError, match="not a recorded time"):
+            hist.density_at(bad)
 
 
 def test_free_history_recovers_initial_tomogram(vacuum):
-    hist = dynamics.free_position_history(vacuum, np.linspace(0.0, 1.0, 21))
+    hist = dynamics.harmonic_position_history(vacuum, [0.5], 0.0)
     for mu, nu in [(1.0, 0.5), (2.0, 1.0)]:
         rec = dynamics.initial_tomogram_from_position_history(hist, mu, nu)
         ref = transform.tomogram(vacuum, mu, nu)
@@ -240,7 +277,7 @@ def test_free_history_recovers_initial_tomogram(vacuum):
 
 
 def test_free_history_rejects_pure_momentum(vacuum):
-    hist = dynamics.free_position_history(vacuum, [0.0, 0.5])
+    hist = dynamics.harmonic_position_history(vacuum, [0.0, 0.5], 0.0)
     with pytest.raises(InvalidArgumentError):
         dynamics.initial_tomogram_from_position_history(hist, 0.0, 1.0)
 
@@ -257,13 +294,42 @@ def test_oscillator_recovery_at_time_zero_is_exact(grid):
 
 def test_oscillator_recovery_matches_direct_tomogram(grid):
     psi = core.sample_state(core.GaussianPreset(x0=1.0), grid)
-    hist = dynamics.harmonic_position_history(psi, np.linspace(0.0, 1.2, 25))
+    # fine-step split-step density, independent of the transform
+    flown = oracles.split_step_kinetic_first(psi.amplitudes, grid.points,
+                                             1.0, 1.0, 1000)
+    hist = PositionHistory([1.0], [transform.TomogramSlice(
+        1.0, 0.0, grid, np.abs(flown) ** 2)])
     traj = dynamics.solve_epsilon_delta(make_spec(t_max=1.2))
     rec = dynamics.initial_tomogram_from_oscillator(hist, traj, 1.0)
     assert rec.mu == pytest.approx(np.cos(1.0), abs=1e-12)
     assert rec.nu == pytest.approx(np.sin(1.0), abs=1e-12)
     ref = transform.tomogram(psi, np.cos(1.0), np.sin(1.0))
     assert np.max(np.abs(rec.density - ref.density)) < 5e-4
+
+
+def test_constant_force_recovery_matches_closed_form(grid):
+    # omega = 1, force c: the packet's centre gains c (1 - cos t), so the
+    # position density at t is the initial (cos t, sin t) slice moved by it
+    c, t, x0, p0, sigma = 0.4, 1.3, 0.5, -0.3, 0.7
+    mu, nu = np.cos(t), np.sin(t)
+    mean = mu * x0 + nu * p0
+    var = (mu * sigma) ** 2 + (nu / (2.0 * sigma)) ** 2
+    x = grid.points
+    hist = PositionHistory([t], [transform.TomogramSlice(
+        1.0, 0.0, grid, gaussian_density(x, mean + c * (1.0 - mu), var))])
+    traj = dynamics.solve_epsilon_delta(make_spec(force=c, t_max=t))
+    rec = dynamics.initial_tomogram_from_oscillator(hist, traj, t)
+    assert (rec.mu, rec.nu) == pytest.approx((mu, nu), abs=1e-10)
+    assert np.max(np.abs(rec.density - gaussian_density(x, mean, var))) < 1e-8
+
+
+def test_forced_shift_off_the_grid_raises(grid, vacuum):
+    # force 6 moves the density 12 units at t = pi: with no zero padding
+    # the FFT shift would wrap all of it back onto [-12, 12]
+    hist = PositionHistory([np.pi], [transform.tomogram(vacuum, 1.0, 0.0)])
+    traj = dynamics.solve_epsilon_delta(make_spec(force=6.0, t_max=np.pi))
+    with pytest.raises(ResolutionError, match="leaves the grid"):
+        dynamics.initial_tomogram_from_oscillator(hist, traj, np.pi)
 
 
 def test_evolve_distribution_free_flight(grid, vacuum):
@@ -277,7 +343,8 @@ def test_evolve_distribution_free_flight(grid, vacuum):
         return float(np.interp(X, grid.points, cdf))
 
     t, mu, nu = 0.8, 1.0, 0.3
-    later = transform.tomogram(dynamics.free_propagate(vacuum, t), mu, nu)
+    flown = oracles.free_propagate(vacuum.amplitudes, grid.points, t)
+    later = transform.tomogram(core.WaveFunction(grid, flown), mu, nu)
     cdf_t = cumulative_trapezoid(later.density, grid.points, initial=0.0)
     for X in (-1.0, 0.0, 0.7, 2.0):
         got = dynamics.evolve_distribution(initial, traj, t, X, mu, nu)
