@@ -187,7 +187,6 @@ def _load_slices(directory: str) -> list[transform.TomogramSlice]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> None:
-    _ensure_outdir(args.out)
     slices = _load_slices(args.in_dir)
     position = next((s for s in slices if s.is_position), None)
     if position is None:
@@ -207,6 +206,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
         else:
             result = reconstruct.recover_phases_piecewise(bps, position, extras)
     except (InsufficientDataError, InconsistentTomogramsError) as exc:
+        _ensure_outdir(args.out)
         io.write_json(report_path, {"phases": [], "residual": None,
                                     "condition_estimate": None,
                                     "status": exc.code})
@@ -224,6 +224,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
             reconstruct.piecewise_from_position(bps, position, result.phases),
             position.grid)
         payload["fidelity"] = float(abs(truth.inner(rebuilt)) ** 2)
+    _ensure_outdir(args.out)
     io.write_json(report_path, payload)
     _write_manifest(args.out, "reconstruct", ["reconstruction.json"])
 

@@ -1,4 +1,4 @@
-"""Grids, wavefunctions, state presets, density matrices and entropy.
+"""Grids, wavefunctions and state presets.
 
 Everything downstream works with uniformly sampled complex amplitudes on a
 :class:`SpatialGrid`.  Inner products and norms carry the grid weight ``dx``,
@@ -13,20 +13,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError, ResolutionError, UnsupportedError
+from .errors import InvalidArgumentError, ResolutionError, UnsupportedError
 
 __all__ = [
     "SpatialGrid",
     "WaveFunction",
-    "DensityMatrix",
     "GaussianPreset",
     "FockPreset",
     "BoundaryLeakWarning",
     "make_grid",
     "default_grid",
     "sample_state",
-    "density_matrix",
-    "von_neumann_entropy",
     "FOCK_N_MAX",
 ]
 
@@ -239,74 +236,3 @@ def sample_state(preset: GaussianPreset | FockPreset, grid: SpatialGrid) -> Wave
     _check_sampling(amps, f"sample_state({preset!r})")
     _check_boundary(amps, f"sample_state({preset!r})")
     return WaveFunction(grid, amps)
-
-
-class DensityMatrix:
-    """Hermitian unit-trace kernel rho(x_a, x_b) sampled on a grid.
-
-    Trace and inner products carry the dx weight: trace = sum diag * dx.
-    """
-
-    def __init__(self, grid: SpatialGrid, entries):
-        if not isinstance(grid, SpatialGrid):
-            raise InvalidArgumentError("grid must be a SpatialGrid")
-        m = np.asarray(entries, dtype=np.complex128)
-        n = grid.n_points
-        if m.shape != (n, n):
-            raise InvalidArgumentError(f"entries must have shape ({n}, {n})")
-        herm = np.abs(m - m.conj().T).max()
-        if herm > 1e-10:
-            raise InvalidArgumentError(f"entries not Hermitian: max deviation {herm:.2e}")
-        tr = np.sum(np.diagonal(m)).real * grid.dx
-        if abs(tr - 1.0) > 1e-8:
-            raise InvalidArgumentError(f"trace {tr!r} differs from 1 beyond 1e-8")
-        m.flags.writeable = False
-        self._grid = grid
-        self._entries = m
-
-    @property
-    def grid(self) -> SpatialGrid:
-        return self._grid
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    def trace(self) -> float:
-        return float(np.sum(np.diagonal(self._entries)).real * self._grid.dx)
-
-
-def density_matrix(states: list[WaveFunction], weights) -> DensityMatrix:
-    """Mixture  rho = sum_j w_j |psi_j><psi_j|  as a DensityMatrix."""
-    w = np.asarray(weights, dtype=float)
-    if len(states) == 0 or w.shape != (len(states),):
-        raise InvalidArgumentError("need one weight per state")
-    if np.any(w < 0):
-        raise InvalidArgumentError("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise InvalidArgumentError(f"weights sum to {w.sum()!r}, not 1")
-    grid = states[0].grid
-    for s in states:
-        if s.grid != grid:
-            raise InvalidArgumentError("all states must share one grid")
-    m = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)
-    for wj, s in zip(w, states):
-        if wj > 0:
-            m += wj * np.outer(s.amplitudes, np.conj(s.amplitudes))
-    return DensityMatrix(grid, m)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum lam ln lam over eigenvalues of (entries * dx).
-
-    Eigenvalues in [-1e-8, 0) are clamped to zero; anything lower raises
-    :class:`NumericalError`.
-    """
-    lam = np.linalg.eigvalsh(rho.entries * rho.grid.dx)
-    low = lam.min()
-    if low < -1e-8:
-        raise NumericalError(f"density matrix has eigenvalue {low!r} below -1e-8")
-    lam = lam[lam > 0.0]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log(lam)))

@@ -66,6 +66,18 @@ def mixture_entropy_two(w1, w2, overlap):
     return float(-(lam * np.log(lam)).sum())
 
 
+def dense_mixture_entropy(amplitudes, weights, dx):
+    """Entropy of sum_j w_j |psi_j><psi_j| from the eigenvalues of the
+    N x N kernel times dx."""
+    n = len(amplitudes[0])
+    rho = np.zeros((n, n), dtype=complex)
+    for w, a in zip(weights, amplitudes):
+        rho += w * np.outer(a, np.conj(a))
+    lam = np.linalg.eigvalsh(rho * dx)
+    lam = lam[lam > 0.0]
+    return float(-(lam * np.log(lam)).sum())
+
+
 def rk4_epsilon_delta(omega, force, t_max, dt):
     """Classical RK4 on the stacked state (epsilon, epsilon', delta) with
     omega and force called at every stage; returns the sample times and

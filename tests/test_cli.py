@@ -174,6 +174,7 @@ def test_reconstruct_requires_position_slice(tmp_path, capsys):
     assert simulate_vacuum(sim, (0.0, 1.0)) == 0
     assert run("reconstruct", f"--in={sim}", f"--out={tmp_path / 'rec'}") == 2
     assert "no position slice" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
 
 
 def test_reconstruct_piecewise_needs_breakpoints(tmp_path):
@@ -181,6 +182,18 @@ def test_reconstruct_piecewise_needs_breakpoints(tmp_path):
     assert simulate_vacuum(sim, (1.0, 0.0)) == 0
     assert run("reconstruct", f"--in={sim}", "--method=piecewise",
                f"--out={tmp_path / 'rec'}") == 2
+    assert not (tmp_path / "rec").exists()
+
+
+def test_reconstruct_failing_fit_writes_nothing(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.6, 0.8)) == 0
+    capsys.readouterr()
+    assert run("reconstruct", f"--in={sim}", "--breakpoints=0",
+               f"--out={tmp_path / 'rec'}") == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR resolution-error: ")
+    assert not (tmp_path / "rec").exists()
 
 
 def test_reconstruct_unordered_breakpoints_exits_2(tmp_path, capsys):
@@ -398,6 +411,7 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
     (["evolve", "--omega=constant:5", "--t-max=1", "--dt=1"],
      "step-size-too-large", 4),
     (["measure", "--in={empty}"], "invalid-argument", 2),
+    (["reconstruct", "--in={empty}"], "invalid-argument", 2),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
@@ -408,7 +422,9 @@ def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status
     assert run(*argv, f"--out={out}") == status
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"ERROR {code}: ")
-    if argv[0] in ("simulate", "evolve", "measure"):
+    if code == "insufficient-data":
+        assert os.listdir(out) == ["reconstruction.json"]
+    else:
         assert not out.exists()
 
 

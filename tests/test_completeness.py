@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tomokit import completeness, core, transform
 from tomokit.completeness import (
@@ -87,6 +88,10 @@ def test_ensemble_validates(small_grid):
     other = core.sample_state(core.FockPreset(0), core.make_grid(-8, 8, 256))
     with pytest.raises(InvalidArgumentError):
         Ensemble((0.5, 0.5), (a, other))
+    with pytest.raises(InvalidArgumentError):
+        Ensemble((np.nan, 1.0), (a, b))
+    with pytest.raises(InvalidArgumentError):
+        Ensemble((1.0, np.nan), (a, b))
 
 
 def test_holevo_chi_orthogonal_pair(small_grid):
@@ -110,6 +115,44 @@ def test_holevo_chi_single_member_vanishes(small_grid):
     a = core.sample_state(core.GaussianPreset(), small_grid)
     assert completeness.holevo_chi(Ensemble((1.0,), (a,))) == pytest.approx(
         0.0, abs=1e-10)
+
+
+_CHI_GRID = core.make_grid(-10.0, 10.0, 256)
+
+_MEMBER_PRESETS = st.one_of(
+    st.builds(core.GaussianPreset, x0=st.floats(-2.0, 2.0),
+              p0=st.floats(-3.0, 3.0), sigma=st.floats(0.4, 0.9)),
+    st.builds(core.FockPreset, st.integers(0, 4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=st.lists(st.tuples(_MEMBER_PRESETS, st.floats(0.0, 1.0)),
+                      min_size=1, max_size=4))
+def test_holevo_chi_matches_dense_mixture_and_holevo_bound(drawn):
+    presets = [p for p, _ in drawn]
+    w = np.array([x for _, x in drawn])
+    assume(w.sum() > 0.01)
+    w = w / w.sum()
+    members = tuple(core.sample_state(p, _CHI_GRID) for p in presets)
+    chi = completeness.holevo_chi(Ensemble(w, members))
+    ref = oracles.dense_mixture_entropy([m.amplitudes for m in members], w,
+                                        _CHI_GRID.dx)
+    assert chi == pytest.approx(ref, abs=1e-10)
+    shannon = float(-np.sum(w[w > 0.0] * np.log(w[w > 0.0])))
+    # no clamp: a pure ensemble can come out at -2.2e-16
+    assert -1e-12 <= chi <= shannon + 1e-12
+    ns = [p.n for p in presets if isinstance(p, core.FockPreset)]
+    if len(ns) == len(presets) and len(set(ns)) == len(ns):
+        assert chi == pytest.approx(shannon, abs=1e-10)
+
+
+def test_holevo_chi_rejects_unnormalized_member(small_grid):
+    a = core.sample_state(core.FockPreset(0), small_grid)
+    b = core.sample_state(core.FockPreset(1), small_grid)
+    loose = core.WaveFunction(small_grid, 1.2 * b.amplitudes, normalize=False,
+                              norm_tol=None)
+    with pytest.raises(InvalidArgumentError, match="squared norm"):
+        completeness.holevo_chi(Ensemble((0.5, 0.5), (a, loose)))
 
 
 # ---------------------------------------------------------------- directions

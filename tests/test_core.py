@@ -132,46 +132,3 @@ def test_undersampled_state_rejected():
 def test_unknown_preset_rejected(grid):
     with pytest.raises(InvalidArgumentError):
         core.sample_state("squeezed", grid)
-
-
-def test_density_matrix_mixture_properties(small_grid):
-    f0 = core.sample_state(core.FockPreset(0), small_grid)
-    f1 = core.sample_state(core.FockPreset(1), small_grid)
-    rho = core.density_matrix([f0, f1], [0.25, 0.75])
-    assert rho.trace() == pytest.approx(1.0, abs=1e-10)
-    assert np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-12
-
-
-@pytest.mark.parametrize("weights", [[0.5], [-0.1, 1.1], [0.4, 0.4]])
-def test_density_matrix_rejects_bad_weights(small_grid, weights):
-    f0 = core.sample_state(core.FockPreset(0), small_grid)
-    f1 = core.sample_state(core.FockPreset(1), small_grid)
-    with pytest.raises(InvalidArgumentError):
-        core.density_matrix([f0, f1], weights)
-
-
-def test_density_matrix_rejects_grid_mix(small_grid, vacuum):
-    other = core.sample_state(core.FockPreset(0), small_grid)
-    with pytest.raises(InvalidArgumentError):
-        core.density_matrix([vacuum, other], [0.5, 0.5])
-
-
-def test_entropy_pure_state(small_grid):
-    f0 = core.sample_state(core.FockPreset(0), small_grid)
-    rho = core.density_matrix([f0], [1.0])
-    assert abs(core.von_neumann_entropy(rho)) < 1e-8
-
-
-def test_entropy_orthogonal_mixture(small_grid):
-    f0 = core.sample_state(core.FockPreset(0), small_grid)
-    f1 = core.sample_state(core.FockPreset(1), small_grid)
-    rho = core.density_matrix([f0, f1], [0.5, 0.5])
-    assert core.von_neumann_entropy(rho) == pytest.approx(np.log(2.0), abs=1e-10)
-
-
-def test_entropy_nonorthogonal_mixture_oracle(small_grid):
-    a = core.sample_state(core.GaussianPreset(x0=0.0), small_grid)
-    b = core.sample_state(core.GaussianPreset(x0=1.0), small_grid)
-    rho = core.density_matrix([a, b], [0.6, 0.4])
-    ref = oracles.mixture_entropy_two(0.6, 0.4, a.inner(b))
-    assert core.von_neumann_entropy(rho) == pytest.approx(ref, abs=1e-8)
