@@ -6,10 +6,18 @@ dynamics with initial-state recovery, and information-completeness
 reports for Gaussian states.
 """
 
-from . import completeness, core, dynamics, io, reconstruct, transform
+import importlib
+
 from .errors import TomokitError
 
 __version__ = "0.1.0"
 
-__all__ = ["completeness", "core", "dynamics", "io", "reconstruct",
-           "transform", "TomokitError", "__version__"]
+_SUBMODULES = ("completeness", "core", "dynamics", "io", "reconstruct", "transform")
+__all__ = [*_SUBMODULES, "TomokitError", "__version__"]
+
+
+def __getattr__(name):
+    """Import a submodule on first access, so a verb loads only what it runs."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import completeness, core, dynamics, io, reconstruct, transform
+from . import core, io, transform
 from .errors import (InconsistentTomogramsError, InsufficientDataError,
                      InvalidArgumentError, OutOfRangeError, TomokitError,
                      UnsupportedError)
@@ -46,14 +46,10 @@ def _parse_grid(text: str) -> core.SpatialGrid:
 
 
 def _parse_direction(text: str) -> tuple[float, float]:
-    parts = text.split(",")
+    parts = _parse_float_list(text, "--direction")
     if len(parts) != 2:
         raise InvalidArgumentError(f"--direction wants mu,nu, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise InvalidArgumentError(
-            f"malformed --direction value {text!r}") from None
+    return parts
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -106,6 +102,7 @@ class _Rate(NamedTuple):
 
 def _parse_rate(flag: str):
     def parse(text: str) -> _Rate:
+        from . import dynamics
         name, _, rest = text.partition(":")
         params = _parse_float_list(rest, flag) if rest else ()
         return _Rate(name, params, dynamics.rate_preset(name, params))
@@ -140,7 +137,11 @@ def _resolve_state(spec: str | None, grid: core.SpatialGrid) -> core.WaveFunctio
 
 
 def _ensure_outdir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgumentError(f"output directory {path!r} cannot be "
+                                   f"created: {exc.strerror}") from None
     if not os.access(path, os.W_OK):
         raise InvalidArgumentError(f"output directory {path!r} is not writable")
 
@@ -187,6 +188,7 @@ def _load_slices(directory: str) -> list[transform.TomogramSlice]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> None:
+    from . import reconstruct
     slices = _load_slices(args.in_dir)
     position = next((s for s in slices if s.is_position), None)
     if position is None:
@@ -250,6 +252,7 @@ def _recovery_request(args: argparse.Namespace):
 
 
 def cmd_evolve(args: argparse.Namespace) -> None:
+    from . import dynamics
     spec = dynamics.OscillatorSpec(args.omega.at, args.force.at, args.t_max, args.dt)
     recovery = _recovery_request(args) if args.recover_at else None
     traj = dynamics.solve_epsilon_delta(spec)
@@ -270,6 +273,7 @@ def cmd_evolve(args: argparse.Namespace) -> None:
 
 
 def cmd_measure(args: argparse.Namespace) -> None:
+    from . import completeness
     slices = _load_slices(args.in_dir)
     if not slices:
         raise InvalidArgumentError(f"no slice_*.csv files in {args.in_dir!r}")

@@ -10,6 +10,7 @@ bounded by an entropy, or zero (under a purity assumption).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +171,17 @@ def _distinct_lines(mset: MeasurementSet) -> list[tuple[float, float]]:
     return lines
 
 
+# Per-slice [variance] or [variance, KS distance].  A slice holds its own read-only
+# density on a frozen grid, so these never change; a weak key drops them with it.
+_STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def slice_variance(s: TomogramSlice) -> float:
     """Second moment of the slice density about zero."""
-    x = s.grid.points
-    return float(np.trapezoid(x * x * s.density, x))
+    if s not in _STATS:
+        x = s.grid.points
+        _STATS[s] = [float(np.trapezoid(x * x * s.density, x))]
+    return _STATS[s][0]
 
 
 def _ks_distance(s: TomogramSlice, variance: float) -> float:
@@ -239,11 +247,13 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
         if v[i] <= 0.0:
             raise ModelMismatchError(
                 f"slice at ({s.mu!r}, {s.nu!r}) has nonpositive variance")
-        ks = _ks_distance(s, v[i])
-        if ks > _KS_LIMIT:
+        stats = _STATS[s]
+        if len(stats) == 1:
+            stats.append(_ks_distance(s, v[i]))
+        if stats[1] > _KS_LIMIT:
             raise ModelMismatchError(
                 f"slice at ({s.mu!r}, {s.nu!r}) is not a zero-mean Gaussian: "
-                f"KS distance {ks:.3f} above {_KS_LIMIT}")
+                f"KS distance {stats[1]:.3f} above {_KS_LIMIT}")
     sol, _, _, _ = np.linalg.lstsq(rows, v, rcond=None)
     _, sv, vt = np.linalg.svd(rows)
     rank = int(np.sum(sv > sv[0] * 1e-10))

@@ -168,8 +168,8 @@ class GaussianPreset:
     def __post_init__(self):
         if not (np.isfinite(self.x0) and np.isfinite(self.p0) and np.isfinite(self.sigma)):
             raise InvalidArgumentError("gaussian preset parameters must be finite")
-        if self.sigma <= 0:
-            raise InvalidArgumentError("sigma must be positive")
+        if not (self.sigma > 0 and 0.0 < self.sigma * self.sigma < np.inf):
+            raise InvalidArgumentError("sigma must be positive, with a nonzero finite square")
 
 
 @dataclass(frozen=True)

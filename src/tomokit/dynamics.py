@@ -110,6 +110,8 @@ class OscillatorSpec:
             raise InvalidArgumentError("dt must be finite and positive")
         if self.dt > self.t_max:
             raise InvalidArgumentError("dt must not exceed t_max")
+        if not np.isfinite(self.t_max / self.dt):
+            raise InvalidArgumentError("t_max/dt must be a finite step count")
 
 
 class OscillatorTrajectory:

@@ -11,13 +11,16 @@ import hashlib
 import json
 import os
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import SpatialGrid, WaveFunction
-from .dynamics import OscillatorTrajectory
 from .errors import ParseError
 from .transform import TomogramSlice
+
+if TYPE_CHECKING:
+    from .dynamics import OscillatorTrajectory
 
 _GRID_UNIFORM_RTOL = 1e-9
 

@@ -158,10 +158,10 @@ def _kernel_rate(values, grid: SpatialGrid, mu: float, nu: float,
 
 def _undersampled(grid: SpatialGrid, mu: float, nu: float, rate: float) -> str:
     nyquist = np.pi / grid.dx
-    need = int(np.ceil(grid.n_points * rate / nyquist))
+    need = np.ceil(grid.n_points * rate / nyquist)  # inf if the rate overflowed
     return (f"kernel at (mu={mu!r}, nu={nu!r}) oscillates at {rate:.1f} rad "
             f"per unit, above the grid Nyquist {nyquist:.1f}; "
-            f"suggest n_points >= {need}")
+            f"suggest n_points >= {need:.0f}")
 
 
 class _Plan(NamedTuple):
@@ -235,6 +235,8 @@ def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
     n = 1 << (2 * grid.n_points - 1).bit_length()
     phi, kgrid = _momentum(values, grid, n)
     spread = abs(nu) * _reach(phi, kgrid.points) / abs(mu)
+    if not spread < np.inf:
+        raise ResolutionError(_undersampled(grid, mu, nu, rate))
     wide = grid.n_points + int(spread / grid.dx)
     if wide > n:
         n = 1 << (wide - 1).bit_length()

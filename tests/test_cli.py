@@ -1,12 +1,17 @@
+import contextlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from tomokit import cli, core, io, transform
+from tomokit import cli, core, errors, io, transform
 
 
 def run(*args) -> int:
@@ -412,6 +417,12 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
      "step-size-too-large", 4),
     (["measure", "--in={empty}"], "invalid-argument", 2),
     (["reconstruct", "--in={empty}"], "invalid-argument", 2),
+    (["evolve", "--omega=constant:1", "--t-max=1e300", "--dt=1e-300"],
+     "invalid-argument", 2),
+    (["simulate", "--state=vacuum", "--grid=-12,12,256",
+      "--direction=1e308,1e308"], "resolution-error", 4),
+    (["simulate", "--state=gaussian:0,0,1e-170", "--grid=-12,12,256",
+      "--direction=1,0"], "invalid-argument", 2),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
@@ -426,6 +437,17 @@ def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status
         assert os.listdir(out) == ["reconstruction.json"]
     else:
         assert not out.exists()
+
+
+def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = run("simulate", "--state=vacuum", "--grid=-12,12,256",
+             "--direction=1,0", f"--out={blocker}/sub")
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR invalid-argument: ")
+    assert "cannot be created" in line
 
 
 def test_simulate_slice_narrower_than_grid_spacing_exits_4(tmp_path, capsys):
@@ -501,8 +523,180 @@ def test_simulate_reconstruct_measure_never_import_scipy(tmp_path):
     assert (tmp_path / "rec_evo" / "recovered_002.csv").is_file()
 
 
+_LAZY_IMPORTS = """
+import sys
+from tomokit import cli
+out = sys.argv[1]
+
+def loaded():
+    return [m for m in ("completeness", "dynamics", "reconstruct")
+            if "tomokit." + m in sys.modules]
+
+assert cli.main(["simulate", "--state=vacuum", "--grid=-12,12,256",
+                 "--direction=1,0", f"--out={out}/sim"]) == 0
+print(loaded())
+assert cli.main(["measure", f"--in={out}/sim", f"--out={out}/meas"]) == 0
+print(loaded())
+import tomokit
+print(tomokit.dynamics.solve_epsilon_delta.__name__)
+"""
+
+
+def test_verbs_import_only_the_modules_they_run(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORTS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[]", "['completeness']", "solve_epsilon_delta"]
+
+
 def test_malformed_grid_exits_2(tmp_path, capsys):
     rc = run("simulate", "--state=vacuum", "--grid=narrow", "--direction=1,0",
              f"--out={tmp_path / 'out'}")
     assert rc == 2
     assert "--grid" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- fuzz
+
+# Placeholders such as {slices} name the fixed inputs of `fuzz_inputs`.
+_EXIT_OF = {c.code: c.exit_code for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.TomokitError)}
+_ODD = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "",
+                        "abc", "0", "-1"]) | st.floats(-3.0, 3.0).map(repr)
+_DIRECTIONS = ["1,0", "0,1", "0.6,0.8", "0.8,-0.6", "1.3,0.02"]
+
+
+def _flags(**choices):
+    """One --flag=value per keyword, each value drawn from its list."""
+    return st.tuples(*(st.sampled_from(values).map(
+        lambda v, f=flag: f"--{f.replace('_', '-')}={v}")
+        for flag, values in choices.items()))
+
+
+def _optional(*flags):
+    return st.lists(st.sampled_from(flags), unique=True).map(tuple)
+
+
+_VALID = {
+    "simulate": st.tuples(
+        _flags(state=["vacuum", "fock:0", "fock:3", "gaussian:0.5,-0.3,0.8",
+                      "{truth}"],
+               grid=["-12,12,256", "-6,6,128", "-12,12,512"]),
+        st.lists(st.sampled_from(_DIRECTIONS), min_size=1, max_size=3,
+                 unique=True).map(lambda ds: tuple(f"--direction={d}" for d in ds)),
+        _optional("--noise=0.01", "--seed=7")),
+    "reconstruct": st.tuples(
+        st.just(("--in={slices}",)),
+        st.sampled_from([("--method=nodes",),
+                         ("--method=piecewise", "--breakpoints=0")]),
+        _optional("--truth={truth}")),
+    "evolve": st.tuples(
+        _flags(omega=["constant:1", "linear-ramp:1,0.1",
+                      "cosine-modulated:1,0.2,2"],
+               force=["constant:0", "constant:0.5"], t_max=["1", "2"],
+               dt=["0.01", "1e-3"], grid=["-12,12,256"]),
+        _optional("--recover-at=0.5,1", "--state=vacuum")),
+    "measure": st.tuples(st.just(("--in={slices}",)),
+                         st.sampled_from([("--assume-pure",), ()])),
+}
+
+
+def _finite(text):
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if np.isfinite(value) else None
+
+
+def _affordable(argv) -> bool:
+    """Whether the grid is given and, if valid, keeps n_points <= 512 and
+    dx >= 0.01, and valid steps keep t_max <= 3 and dt >= 1e-3: finer grids
+    pad the momentum side to about pi/dx^2 samples, and a long finite run
+    allocates every step."""
+    opts = dict(a.partition("=")[::2] for a in argv[1:])
+    if argv[0] in ("simulate", "evolve") and "--grid" not in opts:
+        return False
+    if "--grid" in opts:
+        parts = opts["--grid"].split(",")
+        if len(parts) == 3 and parts[2].isdigit() and int(parts[2]) >= 2:
+            lo, hi = _finite(parts[0]), _finite(parts[1])
+            if lo is not None and hi is not None and hi > lo and not (
+                    int(parts[2]) <= 512 and (hi - lo) / (int(parts[2]) - 1) >= 0.01):
+                return False
+    if "--t-max" in opts:
+        t_max, dt = _finite(opts["--t-max"]), _finite(opts.get("--dt", ""))
+        if t_max is not None and dt is not None and t_max > 0 and dt > 0:
+            return t_max <= 3 and dt >= 1e-3
+    return True
+
+
+@st.composite
+def _argvs(draw):
+    """A valid call of one verb, then up to two edits: a flag dropped, or one
+    number, name or path inside a value swapped for an odd one."""
+    verb = draw(st.sampled_from(sorted(_VALID)))
+    argv = [verb, *itertools.chain(*draw(_VALID[verb]))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(argv) - 1))
+        flag, eq, value = argv[i].partition("=")
+        if not eq or draw(st.booleans()):
+            del argv[i]
+            if len(argv) == 1:
+                break
+            continue
+        tokens = re.split(r"([,:])", value)
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = draw(_ODD)
+        argv[i] = f"{flag}={''.join(tokens)}"
+    assume(_affordable(argv))
+    out = draw(st.sampled_from(["{out}", "{out}", "{out}", "", "{file}/sub"]))
+    return [*argv, f"--out={out}"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    slices = root / "slices"
+    assert cli.main(["simulate", "--state=vacuum", "--grid=-12,12,256",
+                     "--direction=1,0", "--direction=0,1",
+                     "--direction=0.6,0.8", f"--out={slices}"]) == 0
+    (root / "file").write_text("")
+    io.write_wavefunction_csv(root / "truth.csv", core.sample_state(
+        core.GaussianPreset(), core.make_grid(-12.0, 12.0, 256)))
+    return {"root": root, "runs": itertools.count(), "slices": slices,
+            "file": root / "file", "truth": root / "truth.csv"}
+
+
+@pytest.mark.filterwarnings("ignore::tomokit.core.BoundaryLeakWarning")
+@settings(max_examples=60, deadline=None)
+@given(argv=_argvs())
+@example(argv=["evolve", "--omega=constant:1", "--t-max=1e300", "--dt=1e-300",
+               "--out={out}"])
+@example(argv=["simulate", "--state=vacuum", "--grid=-12,12,256",
+               "--direction=1e308,1e308", "--out={out}"])
+@example(argv=["simulate", "--state=gaussian:0,0,1e-170", "--grid=-12,12,256",
+               "--direction=1,0", "--out={out}"])
+@example(argv=["simulate", "--state=vacuum", "--grid=-12,12,256",
+               "--direction=1,0", "--out={file}/sub"])
+@example(argv=["simulate", "--state=gaussian:0.5,-0.3,1e308", "--grid=-12,12,256",
+               "--direction=1,0", "--out={out}"])
+def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, argv):
+    out = fuzz_inputs["root"] / f"out{next(fuzz_inputs['runs'])}"
+    argv = [a.format(out=out, **fuzz_inputs) for a in argv]
+    stderr = StringIO()
+    with contextlib.redirect_stderr(stderr):
+        status = cli.main(argv)
+    assert status in {0, 2, 3, 4, 5}
+    lines = stderr.getvalue().splitlines()
+    if status == 0:
+        assert lines == []
+    else:
+        [line] = lines
+        assert line.startswith("ERROR ")
+        assert _EXIT_OF[line.split()[1].rstrip(":")] == status

@@ -1,3 +1,8 @@
+import gc
+import itertools
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,11 +23,13 @@ from tomokit.errors import (
     InvalidArgumentError,
     InvalidCovarianceError,
     ModelMismatchError,
+    TomokitError,
     UnsupportedError,
 )
-from tomokit.transform import GaussianState
+from tomokit.transform import GaussianState, TomogramSlice
 
 import oracles
+import strategies
 
 
 def gslice(state, mu, nu, grid):
@@ -244,6 +251,69 @@ def test_covariance_fit_rejects_disagreeing_slices(grid):
 def test_covariance_fit_rejects_empty_set():
     with pytest.raises(InvalidArgumentError):
         completeness.covariance_from_tomograms(MeasurementSet(()))
+
+
+def test_single_spike_has_nonpositive_variance():
+    # the variance test comes before the KS check, which would divide by it
+    g = core.make_grid(-1.0, 1.0, 5)
+    spike = TomogramSlice(1.0, 0.0, g, [0.0, 0.0, 2.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelMismatchError, match="nonpositive variance"):
+            completeness.covariance_from_tomograms(MeasurementSet((spike,)))
+
+
+def test_slice_statistics_do_not_keep_the_slice_alive(grid):
+    s = gslice(GaussianState(sigma_xx=0.8, sigma_pp=0.6), 0.6, 0.8, grid)
+    completeness.slice_variance(s)
+    completeness.covariance_from_tomograms(MeasurementSet((s,)))
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    """repr of the result, or of the error type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except TomokitError as exc:
+        return repr((type(exc), str(exc)))
+
+
+def _outcomes(bank) -> list[str]:
+    got = []
+    for k in range(1, len(bank) + 1):
+        for subset in itertools.combinations(bank, k):
+            mset = MeasurementSet(subset)
+            got.append(_outcome(completeness.covariance_from_tomograms, mset))
+            for pure in (False, True):
+                got.append(_outcome(completeness.gaussian_completeness, mset,
+                                    purity_assumed=pure))
+    return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(sxx=st.floats(0.4, 1.5), sxp=st.floats(-0.5, 0.5),
+       mixing=st.just(0.0) | st.floats(0.0, 1.0),
+       extra=st.lists(strategies.directions(r_max=1.0), max_size=3))
+def test_fits_do_not_depend_on_slice_identity_or_call_history(grid, sxx, sxp,
+                                                               mixing, extra):
+    dirs = [(1.0, 0.0), (0.0, 1.0)]
+    for mu, nu in extra:
+        if all(abs(np.sin(np.arctan2(nu, mu) - np.arctan2(b, a))) > 1e-3
+               for a, b in dirs):
+            dirs.append((mu, nu))
+    state = GaussianState(sigma_xx=sxx, sigma_pp=(0.25 + sxp ** 2 + mixing) / sxx,
+                          sigma_xp=sxp)
+    bank = [gslice(state, mu, nu, grid) for mu, nu in dirs]
+    first = _outcomes(bank)
+    assert _outcomes(bank) == first
+    assert _outcomes([TomogramSlice(s.mu, s.nu, s.grid, s.density)
+                      for s in bank]) == first
+    x = grid.points
+    assert [completeness.slice_variance(s) for s in bank] == [
+        float(np.trapezoid(x * x * s.density, x)) for s in bank]
 
 
 # ---------------------------------------------------------------- report
