@@ -19,12 +19,11 @@ from . import core
 from .errors import (InconsistentTomogramsError, InsufficientDataError,
                      InvalidArgumentError, InvalidCovarianceError,
                      ModelMismatchError, NumericalError, UnsupportedError)
-from .transform import GaussianState, TomogramSlice
+from .transform import _LINE_ATOL, GaussianState, TomogramSlice
 
 _KS_LIMIT = 0.01
 _FIT_RESIDUAL_LIMIT = 1e-3
 _UNCERTAINTY_SLACK = 1e-4
-_LINE_ATOL = 1e-9
 
 REGIME_POSITION = "position-only"
 REGIME_POSITION_MOMENTUM = "position-and-momentum"
@@ -114,27 +113,35 @@ class MeasurementSet:
     """Tomogram slices along distinct directions.
 
     Two directions that agree after rescaling by a positive factor carry
-    identical information and are rejected as duplicates.
+    identical information and are rejected as duplicates.  Opposite
+    directions are kept; they share one line (``TomogramSlice.line``), and
+    ``_lines`` holds the distinct lines in order of first appearance.
     """
 
     slices: tuple
 
     def __post_init__(self):
         slices = tuple(self.slices)
-        units = []
+        lines = []  # (line, the signs of (mu, nu) along it seen so far)
         for s in slices:
             if not isinstance(s, TomogramSlice):
                 raise InvalidArgumentError(
                     "measurement set entries must be TomogramSlice objects")
-            r = float(np.hypot(s.mu, s.nu))
-            u = (s.mu / r, s.nu / r)
-            for v in units:
-                if abs(u[0] - v[0]) <= _LINE_ATOL and abs(u[1] - v[1]) <= _LINE_ATOL:
-                    raise InvalidArgumentError(
-                        f"direction ({s.mu!r}, {s.nu!r}) duplicates an earlier "
-                        "one up to positive scaling")
-            units.append(u)
+            line = s.line
+            sign = s.mu * line[0] + s.nu * line[1] > 0.0
+            for known, signs in lines:
+                if (abs(line[0] - known[0]) <= _LINE_ATOL
+                        and abs(line[1] - known[1]) <= _LINE_ATOL):
+                    if sign in signs:
+                        raise InvalidArgumentError(
+                            f"direction ({s.mu!r}, {s.nu!r}) duplicates an "
+                            "earlier one up to positive scaling")
+                    signs.add(sign)
+                    break
+            else:
+                lines.append((line, {sign}))
         object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "_lines", tuple(line for line, _ in lines))
 
     def __len__(self) -> int:
         return len(self.slices)
@@ -142,33 +149,6 @@ class MeasurementSet:
     @property
     def directions(self) -> list[tuple[float, float]]:
         return [(s.mu, s.nu) for s in self.slices]
-
-
-def _canonical_line(mu: float, nu: float) -> tuple[float, float]:
-    """Unit representative of the undirected line through (mu, nu)."""
-    r = float(np.hypot(mu, nu))
-    u, v = mu / r, nu / r
-    if v < -_LINE_ATOL or (abs(v) <= _LINE_ATOL and u < 0.0):
-        u, v = -u, -v
-    return u, v
-
-
-def _is_position(line) -> bool:
-    return abs(line[1]) <= _LINE_ATOL
-
-
-def _is_momentum(line) -> bool:
-    return abs(line[0]) <= _LINE_ATOL
-
-
-def _distinct_lines(mset: MeasurementSet) -> list[tuple[float, float]]:
-    lines = []
-    for s in mset.slices:
-        c = _canonical_line(s.mu, s.nu)
-        if not any(abs(c[0] - l[0]) <= _LINE_ATOL and abs(c[1] - l[1]) <= _LINE_ATOL
-                   for l in lines):
-            lines.append(c)
-    return lines
 
 
 # Per-slice [variance] or [variance, KS distance].  A slice holds its own read-only
@@ -303,8 +283,7 @@ class CompletenessReport:
 def _oblique_residual(mset, sxx, sxp, spp) -> float:
     total = 0.0
     for s in mset.slices:
-        line = _canonical_line(s.mu, s.nu)
-        if _is_position(line) or _is_momentum(line):
+        if 0.0 in s.line:  # position or momentum
             continue
         pred = sxx * s.mu ** 2 + 2.0 * sxp * s.mu * s.nu + spp * s.nu ** 2
         total += abs(pred - slice_variance(s))
@@ -347,9 +326,9 @@ def gaussian_completeness(mset: MeasurementSet,
     """
     if len(mset) == 0:
         raise InvalidArgumentError("empty measurement set")
-    lines = _distinct_lines(mset)
-    has_pos = any(_is_position(l) for l in lines)
-    has_mom = any(_is_momentum(l) for l in lines)
+    lines = mset._lines
+    has_pos = any(v == 0.0 for _, v in lines)
+    has_mom = any(u == 0.0 for u, _ in lines)
     est = covariance_from_tomograms(mset)
     if len(lines) >= 3:
         if not purity_assumed:

@@ -205,7 +205,10 @@ def _check_boundary(amps: np.ndarray, what: str) -> None:
 
 def _check_sampling(amps: np.ndarray, what: str) -> None:
     power = np.abs(np.fft.fft(amps)) ** 2
-    share = power[np.abs(np.fft.fftfreq(amps.size)) >= 0.25].sum() / power.sum()
+    total = power.sum()
+    if total == 0.0:  # every amplitude underflowed; WaveFunction rejects it
+        return
+    share = power[np.abs(np.fft.fftfreq(amps.size)) >= 0.25].sum() / total
     if share > _ALIAS_SHARE_LIMIT:
         raise ResolutionError(
             f"{what}: {share:.2e} of the spectral energy lies in the upper "

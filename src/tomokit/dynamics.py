@@ -29,7 +29,7 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
-from .transform import TomogramSlice, _quadrature, tomogram
+from .transform import TomogramSlice, _direction, _quadrature, tomogram
 
 __all__ = [
     "OscillatorSpec",
@@ -298,9 +298,7 @@ def initial_tomogram_from_position_history(history: PositionHistory, mu: float,
     (mu, 0); the result is checked to stay normalized within 1e-5 and then
     rescaled exactly.
     """
-    mu, nu = float(mu), float(nu)
-    if not (np.isfinite(mu) and np.isfinite(nu)):
-        raise InvalidArgumentError("mu and nu must be finite")
+    mu, nu = _direction(mu, nu)
     if mu == 0.0:
         raise InvalidArgumentError(
             "mu = 0 is not reachable from free-flight position data")
@@ -331,9 +329,7 @@ def evolve_distribution(initial: Callable[[float, float, float], float],
         mu -> mu Re eps + nu Re eps'
         nu -> mu Im eps + nu Im eps'
     """
-    mu, nu = float(mu), float(nu)
-    if not (np.isfinite(mu) and np.isfinite(nu)) or (mu == 0.0 and nu == 0.0):
-        raise InvalidArgumentError("direction (mu, nu) must be finite, not (0, 0)")
+    mu, nu = _direction(mu, nu)
     eps, epsd, delta = traj.at(t)
     mu_t = mu * eps.real + nu * epsd.real
     nu_t = mu * eps.imag + nu * epsd.imag

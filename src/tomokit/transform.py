@@ -21,6 +21,7 @@ Ozaktas, Candan & Kutay 2008).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -43,22 +44,30 @@ __all__ = [
 # effective support used in resolution checks.
 _SUPPORT_REL = 1e-12
 
+# Components of a unit line direction within this of zero are exactly zero,
+# and two lines within it componentwise are one line.
+_LINE_ATOL = 1e-9
+
+
+def _direction(mu, nu) -> tuple[float, float]:
+    """The one check of a measurement direction: finite and not (0, 0)."""
+    mu, nu = float(mu), float(nu)
+    if not (math.isfinite(mu) and math.isfinite(nu)) or mu == nu == 0.0:
+        raise InvalidArgumentError("direction (mu, nu) must be finite, not (0, 0)")
+    return mu, nu
+
 
 class TomogramSlice:
     """Tomographic density of the quadrature mu*x + nu*p on a grid.
 
-    Invariants: (mu, nu) != (0, 0); density >= 0; sum(density) dx = 1
-    within 1e-6 (pass renormalize=True to rescale data that is known good
-    to a looser tolerance).
+    Invariants: (mu, nu) finite and != (0, 0); density >= 0;
+    sum(density) dx = 1 within 1e-6 (pass renormalize=True to rescale data
+    that is known good to a looser tolerance).
     """
 
     def __init__(self, mu: float, nu: float, grid: SpatialGrid, density,
                  renormalize: bool = False):
-        mu, nu = float(mu), float(nu)
-        if not (np.isfinite(mu) and np.isfinite(nu)):
-            raise InvalidArgumentError("direction components must be finite")
-        if mu == 0.0 and nu == 0.0:
-            raise InvalidArgumentError("direction (0, 0) is not a measurement")
+        mu, nu = _direction(mu, nu)
         if not isinstance(grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
         d = np.asarray(density, dtype=float)
@@ -95,14 +104,16 @@ class TomogramSlice:
         return self._density
 
     @property
-    def r(self) -> float:
-        """Direction magnitude sqrt(mu^2 + nu^2)."""
-        return float(np.hypot(self.mu, self.nu))
-
-    @property
-    def theta(self) -> float:
-        """Direction angle atan2(nu, mu) in (-pi, pi]."""
-        return float(np.arctan2(self.nu, self.mu))
+    def line(self) -> tuple[float, float]:
+        """Unit representative (u, v) of the undirected line through
+        (mu, nu): components within 1e-9 of 0 are exactly 0, and v > 0, or
+        v = 0 and u > 0.  Opposite directions share a line."""
+        r = math.hypot(self.mu, self.nu)
+        u, v = self.mu / r, self.nu / r
+        if v < -_LINE_ATOL or (v <= _LINE_ATOL and u < 0.0):
+            u, v = -u, -v
+        return (0.0 if abs(u) <= _LINE_ATOL else u,
+                0.0 if abs(v) <= _LINE_ATOL else v)
 
     @property
     def is_position(self) -> bool:
@@ -289,9 +300,7 @@ def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunctio
     (nu = 0 included); a ResolutionError there points at :func:`tomogram`.
     A discrete norm off 1 by more than 1e-8 raises ResolutionError too.
     """
-    mu, nu = float(mu), float(nu)
-    if not (np.isfinite(mu) and np.isfinite(nu)):
-        raise InvalidArgumentError("mu and nu must be finite")
+    mu, nu = _direction(mu, nu)
     grid = psi.grid
     rate = _kernel_rate(psi.amplitudes, grid, mu, nu, grid)
     if not rate <= np.pi / grid.dx:
@@ -306,9 +315,7 @@ def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunctio
 def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
     """Tomographic density of mu*x + nu*p for a pure state: |psi|^2 at
     (1, 0), elsewhere |F psi|^2 with the norm of F psi checked to 1e-8."""
-    mu, nu = float(mu), float(nu)
-    if not (np.isfinite(mu) and np.isfinite(nu)) or mu == nu == 0.0:
-        raise InvalidArgumentError("direction (mu, nu) must be finite, not (0, 0)")
+    mu, nu = _direction(mu, nu)
     grid = psi.grid
     if (mu, nu) == (1.0, 0.0):
         return TomogramSlice(mu, nu, grid, psi.density())
@@ -321,11 +328,7 @@ def tomogram_gaussian(state: GaussianState, mu: float, nu: float,
                       grid: SpatialGrid) -> TomogramSlice:
     """Closed-form Gaussian tomogram with variance
     v = sigma_xx mu^2 + 2 sigma_xp mu nu + sigma_pp nu^2."""
-    mu, nu = float(mu), float(nu)
-    if not (np.isfinite(mu) and np.isfinite(nu)):
-        raise InvalidArgumentError("mu and nu must be finite")
-    if mu == 0.0 and nu == 0.0:
-        raise InvalidArgumentError("direction (0, 0) is not a measurement")
+    mu, nu = _direction(mu, nu)
     v = (state.sigma_xx * mu ** 2 + 2.0 * state.sigma_xp * mu * nu
          + state.sigma_pp * nu ** 2)
     if v <= 0.0:

@@ -423,6 +423,8 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
       "--direction=1e308,1e308"], "resolution-error", 4),
     (["simulate", "--state=gaussian:0,0,1e-170", "--grid=-12,12,256",
       "--direction=1,0"], "invalid-argument", 2),
+    (["simulate", "--state=gaussian:0,0,1e-5", "--grid=-12,12,256",
+      "--direction=1,0"], "invalid-argument", 2),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
@@ -685,6 +687,8 @@ def fuzz_inputs(tmp_path_factory):
 @example(argv=["simulate", "--state=vacuum", "--grid=-12,12,256",
                "--direction=1,0", "--out={file}/sub"])
 @example(argv=["simulate", "--state=gaussian:0.5,-0.3,1e308", "--grid=-12,12,256",
+               "--direction=1,0", "--out={out}"])
+@example(argv=["simulate", "--state=gaussian:0,0,1e-5", "--grid=-12,12,256",
                "--direction=1,0", "--out={out}"])
 def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, argv):
     out = fuzz_inputs["root"] / f"out{next(fuzz_inputs['runs'])}"

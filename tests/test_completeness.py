@@ -189,6 +189,46 @@ def test_opposite_directions_count_as_one_line(grid):
     assert report.unbounded
 
 
+def _fit_and_report(mset) -> dict:
+    """Fitted covariances and, where one is defined, the regime and value
+    under purity."""
+    est = completeness.covariance_from_tomograms(mset)
+    out = {n: getattr(est, n) for n in ("sigma_xx", "sigma_xp", "sigma_pp")}
+    try:
+        report = completeness.gaussian_completeness(mset, purity_assumed=True)
+    except UnsupportedError:
+        return out
+    return {**out, "regime": report.regime, "value": report.value}
+
+
+@settings(max_examples=40, deadline=None)
+@given(sxx=st.floats(0.4, 1.5), sxp=st.floats(-0.5, 0.5),
+       axes=st.sampled_from([(), ((1.0, 0.0),), ((0.0, 1.0),),
+                             ((1.0, 0.0), (0.0, 1.0))]),
+       extra=st.lists(strategies.directions(r_max=1.0), max_size=3),
+       pick=st.integers(0, 4), scale=st.floats(1e-3, 1e3))
+def test_directions_are_lines_with_a_sign(grid, sxx, sxp, axes, extra, pick,
+                                          scale):
+    dirs = list(axes)
+    for mu, nu in extra:
+        if all(abs(np.sin(np.arctan2(nu, mu) - np.arctan2(b, a))) > 1e-3
+               for a, b in dirs):
+            dirs.append((mu, nu))
+    assume(dirs)
+    state = pure_state(sxx, sxp)
+    bank = [gslice(state, mu, nu, grid) for mu, nu in dirs]
+    s = bank[pick % len(bank)]
+    with pytest.raises(InvalidArgumentError, match="duplicates"):
+        MeasurementSet((*bank, TomogramSlice(scale * s.mu, scale * s.nu,
+                                             grid, s.density)))
+    want = _fit_and_report(MeasurementSet(bank))
+    got = _fit_and_report(
+        MeasurementSet((*bank, gslice(state, -s.mu, -s.nu, grid))))
+    assert got == {k: v if v is None or isinstance(v, str)
+                   else pytest.approx(v, rel=0, abs=1e-9)
+                   for k, v in want.items()}
+
+
 def test_slice_variance_matches_quadratic_form(grid):
     st = GaussianState(sigma_xx=0.8, sigma_pp=0.45, sigma_xp=0.2)
     mu, nu = 0.6, -0.8

@@ -135,9 +135,9 @@ def test_segment_transforms_stay_orthogonal(grid, directions):
     pos = transform.tomogram(two_bump(grid, 0.9), 1.0, 0.0)
     st = reconstruct.piecewise_from_position([0.0], pos)
     for mu, nu in directions:
-        tset = reconstruct.segment_transforms(st, grid, mu, nu)
-        assert len(tset.waves) == 2
-        assert tset.segment_norms.sum() == pytest.approx(1.0)
+        waves = reconstruct.segment_transforms(st, grid, mu, nu)
+        assert waves.shape == (2, grid.n_points)
+        assert np.sum(np.abs(waves) ** 2) * grid.dx == pytest.approx(1.0)
 
 
 def test_segment_transforms_detect_lost_orthogonality(grid, vacuum):
@@ -161,8 +161,8 @@ def test_near_axis_segment_transforms_sum_to_slice(grid, d, phi, height):
     # transformed segments is the transform of the assembled state.
     pos = transform.tomogram(two_bump(grid, phi, height), 1.0, 0.0)
     st_ = reconstruct.piecewise_from_position([0.0], pos, phases=[0.0, phi])
-    tset = reconstruct.segment_transforms(st_, grid, *d)
-    total = np.abs(np.exp(1j * st_.phases) @ tset.waves) ** 2
+    waves = reconstruct.segment_transforms(st_, grid, *d)
+    total = np.abs(np.exp(1j * st_.phases) @ waves) ** 2
     want = transform.tomogram(reconstruct.assemble_state(st_, grid), *d)
     assert np.max(np.abs(total - want.density)) < 1e-12
 
@@ -234,11 +234,15 @@ def test_recover_rejects_non_position_reference(grid, directions):
         reconstruct.recover_phases_nodes(slices[0], slices[1:], [0.0])
 
 
-def test_recover_rejects_scaling_branch_extras(grid, directions):
-    psi = two_bump(grid, 1.0)
-    pos = transform.tomogram(psi, 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError, match="no phase information"):
-        reconstruct.recover_phases_nodes(pos, [pos], [0.0])
+def test_recover_rejects_scaling_branch_extras(grid):
+    # extras within 1e-9 of the position line carry no phase information
+    pos = transform.tomogram(two_bump(grid, 1.0), 1.0, 0.0)
+    for mu, nu in [(1.0, 0.0), (1.0, 1e-13), (-2.0, 1e-300)]:
+        extra = transform.TomogramSlice(mu, nu, grid, pos.density)
+        with pytest.raises(InvalidArgumentError, match="no phase information"):
+            reconstruct.recover_phases_nodes(pos, [extra], [0.0])
+        with pytest.raises(InvalidArgumentError, match="no phase information"):
+            reconstruct.recover_phases_piecewise([0.0], pos, [extra, extra])
 
 
 def test_near_axis_extra_is_insufficient(grid):

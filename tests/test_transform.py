@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tomokit import core, transform
+from tomokit import core, dynamics, reconstruct, transform
 from tomokit.errors import (
     InvalidArgumentError,
     InvalidCovarianceError,
@@ -177,11 +177,47 @@ def test_slice_rejects_null_direction(grid):
         TomogramSlice(0.0, 0.0, grid, dens)
 
 
-def test_slice_polar_coordinates(grid):
-    dens = np.exp(-grid.points ** 2) / np.sqrt(np.pi)
-    s = TomogramSlice(1.0, 1.0, grid, dens)
-    assert s.r == pytest.approx(np.sqrt(2.0))
-    assert s.theta == pytest.approx(np.pi / 4.0)
+_ENTRY_POINTS = ("TomogramSlice", "tomogram", "tomogram_gaussian",
+                 "fractional_transform", "segment_transforms",
+                 "evolve_distribution", "initial_tomogram_from_position_history")
+
+
+@pytest.fixture(scope="module")
+def direction_entry_points():
+    """Every public call that takes a direction, as f(mu, nu)."""
+    grid = core.make_grid(-10.0, 10.0, 256)
+    psi = core.sample_state(core.GaussianPreset(), grid)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    pieces = reconstruct.piecewise_from_position([], pos)
+    history = dynamics.PositionHistory([0.8 / 0.6], [pos])  # reaches (0.6, 0.8)
+    traj = dynamics.solve_epsilon_delta(dynamics.OscillatorSpec(
+        dynamics.constant_rate(1.0), dynamics.constant_rate(0.0), 0.1, 0.01))
+    return {
+        "TomogramSlice": lambda mu, nu: TomogramSlice(mu, nu, grid, pos.density),
+        "tomogram": lambda mu, nu: transform.tomogram(psi, mu, nu),
+        "tomogram_gaussian": lambda mu, nu: transform.tomogram_gaussian(
+            GaussianState(0.5, 0.5), mu, nu, grid),
+        "fractional_transform": lambda mu, nu: transform.fractional_transform(
+            psi, mu, nu),
+        "segment_transforms": lambda mu, nu: reconstruct.segment_transforms(
+            pieces, grid, mu, nu),
+        "evolve_distribution": lambda mu, nu: dynamics.evolve_distribution(
+            lambda X, m, n: 0.5, traj, 0.05, 0.0, mu, nu),
+        "initial_tomogram_from_position_history":
+            lambda mu, nu: dynamics.initial_tomogram_from_position_history(
+                history, mu, nu),
+    }
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (np.nan, 1.0), (1.0, np.inf)])
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_every_entry_point_applies_one_direction_rule(direction_entry_points,
+                                                     entry, direction):
+    call = direction_entry_points[entry]
+    call(0.6, 0.8)  # a valid direction passes
+    with pytest.raises(InvalidArgumentError) as exc:
+        call(*direction)
+    assert str(exc.value) == "direction (mu, nu) must be finite, not (0, 0)"
 
 
 @pytest.mark.parametrize("bad", [
