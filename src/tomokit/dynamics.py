@@ -236,10 +236,10 @@ class PositionHistory:
             raise InvalidArgumentError("need one time per slice")
         if not np.all(np.diff(t) > 0):
             raise InvalidArgumentError("times must be strictly increasing")
+        if not all(isinstance(s, TomogramSlice) for s in slices):
+            raise InvalidArgumentError("slices must be TomogramSlice objects")
         grid = slices[0].grid
         for s in slices:
-            if not isinstance(s, TomogramSlice):
-                raise InvalidArgumentError("slices must be TomogramSlice objects")
             if not s.is_position:
                 raise InvalidArgumentError(
                     f"history slice at ({s.mu!r}, {s.nu!r}) is not a position tomogram")

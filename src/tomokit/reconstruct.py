@@ -251,19 +251,6 @@ def _phases_from_pairs(u: np.ndarray, k: int) -> np.ndarray:
     return np.mod(ph, 2.0 * np.pi)
 
 
-def _trivial_result() -> PhaseRecoveryResult:
-    return PhaseRecoveryResult(np.zeros(1), 0.0, 1.0, "ok")
-
-
-def _check_extras(position: TomogramSlice, extras) -> None:
-    for s in extras:
-        if not isinstance(s, TomogramSlice):
-            raise InvalidArgumentError("extra slices must be TomogramSlice objects")
-        if s.line[1] == 0.0:
-            raise InvalidArgumentError(
-                f"slice at ({s.mu!r}, {s.nu!r}) carries no phase information")
-
-
 def _solve(position: TomogramSlice, extras, breakpoints):
     """Shared least-squares assembly; returns (sol_pairs, residual, cond, K).
 
@@ -271,7 +258,8 @@ def _solve(position: TomogramSlice, extras, breakpoints):
         sum_{p<q} [2 a_pq c_pq - 2 b_pq s_pq] = omega - sum_j |w_j|^2
     with a + ib the pairwise product of segment transforms, so the
     unknowns (c, s) recover cos and sin of each phase difference, up to a
-    standard error |A x - b| / sigma_min that must stay within 0.1.
+    standard error |A x - b| / sigma_min that must stay within 0.1.  One
+    segment has no unknowns: its rows are checked by the residual alone.
     """
     state = piecewise_from_position(breakpoints, position)
     k = state.n_segments
@@ -291,13 +279,15 @@ def _solve(position: TomogramSlice, extras, breakpoints):
     a = np.vstack(rows)
     b = np.concatenate(rhs)
     sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     misfit = a @ sol - b
     residual = float(np.sqrt(np.mean(misfit ** 2)))
     if residual > _RESIDUAL_LIMIT:
         raise InconsistentTomogramsError(
             f"least-squares residual {residual:.2e} above {_RESIDUAL_LIMIT}: "
             "slices are not tomograms of one piecewise state")
+    if not sv.size:
+        return sol.reshape(-1, 2), residual, 1.0, k
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     stderr = float(np.linalg.norm(misfit) / sv[-1]) if sv[-1] > 0 else np.inf
     if cond <= _CONDITION_LIMIT and stderr > _UNIT_MODULUS_SLACK:
         raise InsufficientDataError(
@@ -306,10 +296,34 @@ def _solve(position: TomogramSlice, extras, breakpoints):
     return sol.reshape(-1, 2), residual, cond, k
 
 
-def _finish(sol, residual, cond, k) -> PhaseRecoveryResult:
+def _recover(position: TomogramSlice, extras, bp: np.ndarray, needed: int,
+             shortfall: str, project: bool) -> PhaseRecoveryResult:
+    """The one phase solver behind both entry points: check the inputs, fit
+    every segment count (one included) against the extra slices, optionally
+    project the solved products onto the unit circle, read off the phases."""
+    _require_position(position)
+    extras = list(extras)
+    for s in extras:
+        if not isinstance(s, TomogramSlice):
+            raise InvalidArgumentError("extra slices must be TomogramSlice objects")
+        if s.line[1] == 0.0:
+            raise InvalidArgumentError(
+                f"slice at ({s.mu!r}, {s.nu!r}) carries no phase information")
+    if len(extras) < needed:
+        raise InsufficientDataError(f"{shortfall}, got {len(extras)}")
+    if not extras:
+        return PhaseRecoveryResult(np.zeros(1), 0.0, 1.0, "ok")
+    sol, residual, cond, k = _solve(position, extras, bp)
+    if project:
+        moduli = np.hypot(sol[:, 0], sol[:, 1])
+        worst = np.abs(moduli - 1.0).max(initial=0.0)
+        if np.any(moduli <= 0.0) or worst > _UNIT_MODULUS_SLACK:
+            raise InconsistentTomogramsError(
+                f"pairwise cosine/sine solution off the unit circle by {worst:.2e} "
+                f"(limit {_UNIT_MODULUS_SLACK}): slices do not fit the fragmentation")
+        sol = sol / moduli[:, None]
     status = "ill-conditioned" if cond > _CONDITION_LIMIT else "ok"
-    u = sol[:, 0] + 1j * sol[:, 1]
-    phases = _phases_from_pairs(u, k)
+    phases = _phases_from_pairs(sol[:, 0] + 1j * sol[:, 1], k)
     phases.flags.writeable = False
     return PhaseRecoveryResult(phases, residual, cond, status)
 
@@ -322,18 +336,10 @@ def recover_phases_nodes(position: TomogramSlice, extras,
     pairwise products exp(i(phi_p - phi_q)) are solved for directly as
     complex unknowns; no unit-modulus constraint is imposed.
     """
-    _require_position(position)
     bp = np.asarray(breakpoints, dtype=float)
-    extras = list(extras)
-    _check_extras(position, extras)
-    if len(extras) < bp.size:
-        raise InsufficientDataError(
-            f"{bp.size} nodes need at least {bp.size} extra slices, got "
-            f"{len(extras)}")
-    if bp.size == 0:
-        return _trivial_result()
-    sol, residual, cond, k = _solve(position, extras, bp)
-    return _finish(sol, residual, cond, k)
+    return _recover(position, extras, bp, bp.size,
+                    f"{bp.size} nodes need at least {bp.size} extra slices",
+                    project=False)
 
 
 def recover_phases_piecewise(fragmentation, position: TomogramSlice,
@@ -345,25 +351,10 @@ def recover_phases_piecewise(fragmentation, position: TomogramSlice,
     the unit circle; a solution further than 0.1 from it means the slices
     are inconsistent with the fragmentation.
     """
-    _require_position(position)
     bp = np.asarray(fragmentation, dtype=float)
-    slices = list(slices)
-    _check_extras(position, slices)
     k = bp.size + 1
-    if len(slices) < k:
-        raise InsufficientDataError(
-            f"{k} segments need at least {k} slices, got {len(slices)}")
-    if bp.size == 0:
-        return _trivial_result()
-    sol, residual, cond, k = _solve(position, slices, bp)
-    moduli = np.hypot(sol[:, 0], sol[:, 1])
-    worst = np.abs(moduli - 1.0).max()
-    if moduli.min() <= 0.0 or worst > _UNIT_MODULUS_SLACK:
-        raise InconsistentTomogramsError(
-            f"pairwise cosine/sine solution off the unit circle by {worst:.2e} "
-            f"(limit {_UNIT_MODULUS_SLACK}): slices do not fit the fragmentation")
-    sol = sol / moduli[:, None]
-    return _finish(sol, residual, cond, k)
+    return _recover(position, slices, bp, k,
+                    f"{k} segments need at least {k} slices", project=True)
 
 
 def quasi_uniform_directions(n: int, r: float = 1.0,
@@ -373,8 +364,8 @@ def quasi_uniform_directions(n: int, r: float = 1.0,
     pure-momentum angle."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError("n must be a positive integer")
-    if r <= 0:
-        raise InvalidArgumentError("r must be positive")
+    if not 0.0 < r < np.inf:
+        raise InvalidArgumentError("r must be positive and finite")
     out = []
     for i in range(n):
         theta = np.pi * (2 * i + 1) / (2 * n)

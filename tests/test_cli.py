@@ -201,6 +201,34 @@ def test_reconstruct_failing_fit_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "rec").exists()
 
 
+def test_reconstruct_one_segment_contradicted_by_extra_exits_5(tmp_path, capsys):
+    # no node in a moving packet, and its oblique slice rules out a real
+    # one-segment state: the fit must say so instead of returning "ok"
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    assert run("simulate", "--state=gaussian:0.5,1,0.7", "--direction=1,0",
+               "--direction=0.6,0.8", f"--out={sim}") == 0
+    capsys.readouterr()
+    assert run("reconstruct", f"--in={sim}", f"--out={rec}") == 5
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR inconsistent-tomograms: ")
+    with open(rec / "reconstruction.json") as fh:
+        assert json.load(fh) == {"phases": [], "residual": None,
+                                 "condition_estimate": None,
+                                 "status": "inconsistent-tomograms"}
+
+
+def test_reconstruct_missed_node_is_not_ok(tmp_path, capsys):
+    # on this coarse grid detect_nodes misses the node of fock:1, and the
+    # one-segment fit that follows must fail rather than pass silently
+    sim = tmp_path / "sim"
+    assert run("simulate", "--state=fock:1", "--grid=-12,12,512",
+               "--direction=1,0", "--direction=0.6,0.8", f"--out={sim}") == 0
+    capsys.readouterr()
+    assert run("reconstruct", f"--in={sim}", f"--out={tmp_path / 'rec'}") != 0
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR ")
+
+
 def test_reconstruct_unordered_breakpoints_exits_2(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert simulate_vacuum(sim, (1.0, 0.0), (0.7, 0.7), (0.6, -0.8)) == 0
@@ -494,9 +522,9 @@ from tomokit import cli
 out = sys.argv[1]
 grid = "--grid=-12,12,256"
 verbs = [
-    ["simulate", "--state=fock:1", grid, "--direction=1,0",
+    ["simulate", "--state=fock:1", "--grid=-48,48,2048", "--direction=1,0",
      "--direction=0.6,0.8", f"--out={out}/fock"],
-    ["reconstruct", f"--in={out}/fock", f"--out={out}/rec"],
+    ["reconstruct", f"--in={out}/fock", "--breakpoints=0", f"--out={out}/rec"],
     ["simulate", "--state=vacuum", grid, "--direction=1,0", "--direction=0,1",
      "--direction=0.6,0.8", f"--out={out}/vac"],
     ["measure", f"--in={out}/vac", "--assume-pure", f"--out={out}/meas"],

@@ -255,6 +255,10 @@ def test_position_history_validates(grid, vacuum):
         PositionHistory([0.0, 0.0], [pos, pos])
     with pytest.raises(InvalidArgumentError):
         PositionHistory([0.0, 1.0], [pos, mom])
+    with pytest.raises(InvalidArgumentError, match="TomogramSlice"):
+        PositionHistory([0.0], [None])
+    with pytest.raises(InvalidArgumentError, match="TomogramSlice"):
+        PositionHistory([0.0, 1.0], [pos, None])
 
 
 def test_position_history_reads_recorded_times(vacuum):

@@ -212,6 +212,30 @@ def test_recover_without_breakpoints_is_trivial(grid, vacuum):
     assert res.residual == 0.0
 
 
+def test_one_segment_is_fitted_against_its_extras(grid, vacuum):
+    # the residual is the real misfit of the one-segment state, not 0.0
+    pos = transform.tomogram(vacuum, 1.0, 0.0)
+    extra = [transform.tomogram(vacuum, 0.6, 0.8)]
+    for res in (reconstruct.recover_phases_nodes(pos, extra, []),
+                reconstruct.recover_phases_piecewise([], pos, extra)):
+        assert res.status == "ok"
+        assert res.phases.tolist() == [0.0]
+        assert 0.0 < res.residual < 1e-6
+        assert res.condition_estimate == 1.0
+
+
+def test_one_segment_contradicted_by_its_extras_is_inconsistent(grid):
+    # a moving packet has no node, but its momentum shows in the oblique
+    # slice, which no real one-segment magnitude reproduces
+    psi = core.sample_state(core.GaussianPreset(0.5, 1.0, 0.7), grid)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    extra = [transform.tomogram(psi, 0.6, 0.8)]
+    with pytest.raises(InconsistentTomogramsError, match="residual"):
+        reconstruct.recover_phases_nodes(pos, extra, [])
+    with pytest.raises(InconsistentTomogramsError, match="residual"):
+        reconstruct.recover_phases_piecewise([], pos, extra)
+
+
 def test_recover_nodes_requires_enough_slices(grid, directions):
     psi = two_bump(grid, 1.0)
     pos = transform.tomogram(psi, 1.0, 0.0)
@@ -305,5 +329,6 @@ def test_quasi_uniform_directions_layout():
 def test_quasi_uniform_directions_validate():
     with pytest.raises(InvalidArgumentError):
         reconstruct.quasi_uniform_directions(0)
-    with pytest.raises(InvalidArgumentError):
-        reconstruct.quasi_uniform_directions(4, r=-1.0)
+    for r in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            reconstruct.quasi_uniform_directions(4, r=r)
