@@ -16,6 +16,7 @@ propagated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,9 +64,16 @@ def linear_ramp(start: float, slope: float) -> Callable[[float], float]:
 
 
 def cosine_modulated(base: float, depth: float, rate: float) -> Callable[[float], float]:
-    """Preset: t -> base * (1 + depth * cos(rate * t))."""
+    """Preset: t -> base * (1 + depth * cos(rate * t)); nan where rate * t
+    overflows."""
     base, depth, rate = float(base), float(depth), float(rate)
-    return lambda t: base * (1.0 + depth * np.cos(rate * t))
+
+    def at(t):
+        try:
+            return base * (1.0 + depth * math.cos(rate * t))
+        except ValueError:
+            return math.nan
+    return at
 
 
 _PRESETS = {
@@ -110,8 +118,9 @@ class OscillatorSpec:
             raise InvalidArgumentError("dt must be finite and positive")
         if self.dt > self.t_max:
             raise InvalidArgumentError("dt must not exceed t_max")
-        if not np.isfinite(self.t_max / self.dt):
-            raise InvalidArgumentError("t_max/dt must be a finite step count")
+        if not self.t_max / self.dt < sys.maxsize:
+            raise InvalidArgumentError(
+                "t_max/dt must be a finite step count that fits an index")
 
 
 class OscillatorTrajectory:
@@ -162,65 +171,93 @@ class OscillatorTrajectory:
 def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     """Integrate the classical pair with fixed-step RK4.
 
-    omega and force are sampled once per distinct stage time (the start,
+    The rates do not depend on the state, so every stage time (the start,
     midpoint and end of each step; a step's end is the next step's start)
-    with scalar float arguments, so any scalar callable works, and the
-    recurrence runs on Python complex scalars.  The delta equation does
-    not feed back, so only epsilon and epsilon' are staged.  The
-    Wronskian Im(conj(epsilon) epsilon') is monitored after every step;
-    drift beyond 1e-6, or a Wronskian that is no longer a number, raises
-    StepSizeError naming the failing time.
+    is sampled before the first step: omega at all stages, then force,
+    each with a scalar float argument, so any scalar callable works.
+    Steps run up to the first stage with a non-finite rate, which then
+    raises InvalidArgumentError naming its time.  Only epsilon and
+    epsilon' are stepped, on Python complex scalars, and the Wronskian
+    Im(conj(epsilon) epsilon') is checked after every step: drift beyond
+    1e-6, or a Wronskian that is no longer a number, raises StepSizeError
+    naming the failing time.  delta does not feed back, so its RK4 stages
+    are rebuilt as arrays after the loop, in the loop's operation order,
+    and summed; a delta that overflows raises InvalidArgumentError.
     """
-    omega, force = spec.omega, spec.force
-    drive = -1j / np.sqrt(2.0)
-
-    def rates(t):
-        w = float(omega(t))
-        f = float(force(t))
-        if not (math.isfinite(w) and math.isfinite(f)):
-            raise InvalidArgumentError(f"omega/force not finite at t = {t!r}")
-        return -(w * w), f
-
     ratio = spec.t_max / spec.dt
     n_full = int(round(ratio))
     if abs(ratio - n_full) > 1e-9 or n_full == 0:
         n_full = int(np.floor(ratio))
     remainder = spec.t_max - n_full * spec.dt
-    steps = [spec.dt] * n_full
+    h = np.full(n_full, spec.dt)
     if remainder > 1e-12 * max(1.0, spec.t_max):
-        steps.append(remainder)
+        h = np.append(h, remainder)
+    ends = np.cumsum(h)
+    stages = np.empty(2 * h.size + 1)
+    stages[0] = 0.0
+    stages[2::2] = ends
+    stages[1::2] = stages[0:-1:2] + 0.5 * h
+    stage_t = stages.tolist()
+    ws = [float(spec.omega(t)) for t in stage_t]
+    f = np.array([float(spec.force(t)) for t in stage_t])
+    finite = np.isfinite(ws) & np.isfinite(f)
+    first_bad = None if finite.all() else int(np.argmin(finite))
+    n_ok = h.size if first_bad is None else max(0, (first_bad - 1) // 2)
+    # squared in Python, where an overflow is -inf and not a warning
+    v = np.array([-(w * w) for w in ws])
 
-    e, ed, d = 1.0 + 0j, 1j, 0j
-    times, es, eds, ds = [0.0], [e], [ed], [d]
-    t = 0.0
-    v1, f1 = rates(t)
-    for h in steps:
-        v0, f0 = v1, f1
-        vm, fm = rates(t + 0.5 * h)
-        v1, f1 = rates(t + h)
-        h2, h6 = 0.5 * h, h / 6.0
-        b1, c1 = v0 * e, drive * e * f0
+    # The real factors are held as complex with a zero imaginary part,
+    # which is what Python promotes a float factor to, so every product is
+    # the same; complex * complex just skips the float's fallback.
+    two = 2.0 + 0j
+    e, ed = 1.0 + 0j, 1j
+    es, eds = [e], [ed]
+    vc = v.astype(complex).tolist()
+    for h1, h2, h6, v0, vm, v1, t in zip(
+            h[:n_ok].astype(complex).tolist(),
+            (0.5 * h[:n_ok]).astype(complex).tolist(),
+            (h[:n_ok] / 6.0).astype(complex).tolist(),
+            vc[0::2], vc[1::2], vc[2::2], stage_t[2::2]):
+        b1 = v0 * e
         e2, ed2 = e + h2 * ed, ed + h2 * b1
-        b2, c2 = vm * e2, drive * e2 * fm
+        b2 = vm * e2
         e3, ed3 = e + h2 * ed2, ed + h2 * b2
-        b3, c3 = vm * e3, drive * e3 * fm
-        e4, ed4 = e + h * ed3, ed + h * b3
-        b4, c4 = v1 * e4, drive * e4 * f1
-        e = e + h6 * (ed + 2.0 * ed2 + 2.0 * ed3 + ed4)
-        ed = ed + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        d = d + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        t = t + h
+        b3 = vm * e3
+        e4, ed4 = e + h1 * ed3, ed + h1 * b3
+        b4 = v1 * e4
+        e = e + h6 * (ed + two * ed2 + two * ed3 + ed4)
+        ed = ed + h6 * (b1 + two * b2 + two * b3 + b4)
         w = e.real * ed.imag - e.imag * ed.real
         if not abs(w - 1.0) <= _WRONSKIAN_RAISE:
             raise StepSizeError(
                 f"Wronskian drifted to {w!r} at t = {t!r}; reduce dt")
-        times.append(t)
         es.append(e)
         eds.append(ed)
-        ds.append(d)
+    if first_bad is not None:
+        raise InvalidArgumentError(
+            f"omega/force not finite at t = {stage_t[first_bad]!r}")
+
+    # numpy promotes a float array factor as Python promotes a float, so
+    # these are the loop's stage values, and cumsum adds in step order.
+    eps, epsd = np.array(es), np.array(eds)
+    e, ed = eps[:-1], epsd[:-1]
+    v0, vm, f0, fm, f1 = v[0:-1:2], v[1::2], f[0:-1:2], f[1::2], f[2::2]
+    h2 = 0.5 * h
+    e2 = e + h2 * ed
+    e3 = e + h2 * (ed + h2 * (v0 * e))
+    e4 = e + h * (ed + h2 * (vm * e2))
+    drive = -1j / np.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (drive * e * f0 + 2.0 * (drive * e2 * fm) + 2.0 * (drive * e3 * fm)
+             + drive * e4 * f1)
+        delta = np.cumsum(np.concatenate(([0j], h / 6.0 * c)))
+    times = np.concatenate(([0.0], ends))
     times[-1] = spec.t_max
-    return OscillatorTrajectory(np.array(times), np.array(es), np.array(eds),
-                                np.array(ds))
+    if not np.isfinite(delta[-1]):
+        t = times[np.argmin(np.isfinite(delta))]
+        raise InvalidArgumentError(
+            f"delta overflowed at t = {float(t)!r}; the force is too large")
+    return OscillatorTrajectory(times, eps, epsd, delta)
 
 
 class PositionHistory:
@@ -350,8 +387,9 @@ def initial_tomogram_from_oscillator(history: PositionHistory,
     relabelling and returns the slice as recorded.  Otherwise the density
     is shifted spectrally; the FFT is zero-padded to at least 2N samples
     and past the shift, so mass carried off the grid lands in the padding
-    instead of wrapping back onto the grid.  The result is normalized
-    within 1e-5 and rescaled exactly.
+    instead of wrapping back onto the grid.  A shift wider than the grid
+    leaves nothing on it and raises ResolutionError before the FFT is
+    sized.  The result is normalized within 1e-5 and rescaled exactly.
     """
     eps, _epsd, delta = traj.at(t)
     if np.hypot(eps.real, eps.imag) < 1e-12:
@@ -361,6 +399,10 @@ def initial_tomogram_from_oscillator(history: PositionHistory,
     shift = np.sqrt(2.0) * (eps * np.conj(delta)).real
     if shift == 0.0:
         return TomogramSlice(eps.real, eps.imag, grid, dens_t, renormalize=True)
+    if not abs(shift) <= grid.x_max - grid.x_min:
+        raise ResolutionError(
+            f"recovered slice at t = {t!r} is shifted by {float(shift)!r}, "
+            "past the grid width; the shifted support leaves the grid")
     n = 1 << (2 * grid.n_points + int(abs(shift) / grid.dx) - 1).bit_length()
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
     out = np.fft.ifft(np.fft.fft(dens_t, n) * np.exp(-1j * k * shift))

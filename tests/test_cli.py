@@ -447,6 +447,12 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
     (["reconstruct", "--in={empty}"], "invalid-argument", 2),
     (["evolve", "--omega=constant:1", "--t-max=1e300", "--dt=1e-300"],
      "invalid-argument", 2),
+    (["evolve", "--omega=constant:1", "--t-max=1e10", "--dt=1e-10"],
+     "invalid-argument", 2),
+    (["evolve", "--omega=constant:1", "--force=constant:1e308", "--t-max=1",
+      "--dt=1e-3"], "invalid-argument", 2),
+    (["evolve", "--omega=cosine-modulated:1,0.2,1e308", "--t-max=2",
+      "--dt=1e-3"], "invalid-argument", 2),
     (["simulate", "--state=vacuum", "--grid=-12,12,256",
       "--direction=1e308,1e308"], "resolution-error", 4),
     (["simulate", "--state=gaussian:0,0,1e-170", "--grid=-12,12,256",

@@ -27,6 +27,7 @@ def test_rate_presets_evaluate():
     assert dynamics.constant_rate(2.0)(17.0) == 2.0
     assert dynamics.linear_ramp(1.0, 0.5)(2.0) == pytest.approx(2.0)
     assert dynamics.cosine_modulated(1.0, 0.2, 3.0)(0.0) == pytest.approx(1.2)
+    assert np.isnan(dynamics.cosine_modulated(1.0, 0.2, 1e308)(2.0))
 
 
 def test_rate_preset_lookup():
@@ -40,6 +41,7 @@ def test_rate_preset_lookup():
 
 @pytest.mark.parametrize("kwargs", [
     dict(t_max=0.0), dict(t_max=np.inf), dict(dt=-1.0), dict(dt=3.0),
+    dict(t_max=1e10, dt=1e-10),
 ])
 def test_oscillator_spec_rejects_bad_stepping(kwargs):
     with pytest.raises(InvalidArgumentError):
@@ -146,6 +148,32 @@ def test_non_finite_rate_names_first_stage_time(omega, force, first_bad):
     assert str(exc.value) == f"omega/force not finite at t = {first_bad}"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega, t_max, dt, error, message", [
+    # the coarse steps fail before the rate turns nan at t > 3
+    (lambda t: np.nan if t > 3.0 else 5.0, 4.0, 0.5, StepSizeError,
+     "Wronskian drifted to 0.25825330946180547 at t = 0.5; reduce dt"),
+    # the first step fails; epsilon would overflow long before t_max
+    (dynamics.constant_rate(40.0), 60.0, 0.1, StepSizeError,
+     "Wronskian drifted to 57.888888888888886 at t = 0.1; reduce dt"),
+    (lambda t: np.nan, 1.0, 1e-3, InvalidArgumentError,
+     "omega/force not finite at t = 0.0"),
+], ids=["nan-after-coarse-steps", "diverging", "nan-everywhere"])
+def test_earliest_failure_is_raised(omega, t_max, dt, error, message):
+    spec = OscillatorSpec(omega, dynamics.constant_rate(0.0), t_max, dt)
+    with pytest.raises(error) as exc:
+        dynamics.solve_epsilon_delta(spec)
+    assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_delta_raises():
+    with pytest.raises(InvalidArgumentError) as exc:
+        dynamics.solve_epsilon_delta(make_spec(force=1e308, t_max=1.0))
+    assert str(exc.value) == (
+        "delta overflowed at t = 0.001; the force is too large")
+
+
 def test_overflowing_rate_raises_step_size_error():
     # omega^2 overflows, so the first step leaves a nan Wronskian behind
     with pytest.raises(StepSizeError, match="drifted to nan at t = 0.001"):
@@ -163,6 +191,28 @@ def test_constant_rate_integration_properties(omega, force, dt, t_max):
         t = traj.times
         exact = np.cos(omega * t) + 1j * np.sin(omega * t) / omega
         assert np.max(np.abs(traj.epsilon - exact)) <= 1e-6
+
+
+_SLOW_RATES = st.floats(0.5, 1.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(omega=st.one_of(
+           st.builds(dynamics.linear_ramp, _SLOW_RATES, st.floats(-0.2, 0.3)),
+           st.builds(dynamics.cosine_modulated, _SLOW_RATES, st.floats(0.0, 0.5),
+                     st.floats(0.2, 3.0))),
+       force=st.one_of(
+           st.builds(dynamics.constant_rate,
+                     st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)),
+           st.builds(dynamics.cosine_modulated, st.floats(-1.0, 1.0),
+                     st.floats(0.0, 0.5), st.floats(0.2, 3.0))),
+       dt=st.floats(5e-4, 5e-3), n_steps=st.integers(100, 600),
+       tail=st.floats(0.05, 0.95))
+def test_time_dependent_rates_match_rk4_oracle(omega, force, dt, n_steps, tail):
+    # t_max leaves a short final step of about tail * dt
+    t_max = (n_steps + tail) * dt
+    traj = assert_matches_rk4_oracle(OscillatorSpec(omega, force, t_max, dt))
+    assert 0.0 < traj.times[-1] - traj.times[-2] < dt
 
 
 def test_trajectory_rejects_wrong_start():
@@ -333,6 +383,14 @@ def test_forced_shift_off_the_grid_raises(grid, vacuum):
     hist = PositionHistory([np.pi], [transform.tomogram(vacuum, 1.0, 0.0)])
     traj = dynamics.solve_epsilon_delta(make_spec(force=6.0, t_max=np.pi))
     with pytest.raises(ResolutionError, match="leaves the grid"):
+        dynamics.initial_tomogram_from_oscillator(hist, traj, np.pi)
+
+
+def test_shift_wider_than_the_grid_raises_before_the_fft(grid, vacuum):
+    # force 50 moves the density 100 units at t = pi, past the whole grid
+    hist = PositionHistory([np.pi], [transform.tomogram(vacuum, 1.0, 0.0)])
+    traj = dynamics.solve_epsilon_delta(make_spec(force=50.0, t_max=np.pi))
+    with pytest.raises(ResolutionError, match="past the grid width"):
         dynamics.initial_tomogram_from_oscillator(hist, traj, np.pi)
 
 
