@@ -189,11 +189,16 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     if abs(ratio - n_full) > 1e-9 or n_full == 0:
         n_full = int(np.floor(ratio))
     remainder = spec.t_max - n_full * spec.dt
-    h = np.full(n_full, spec.dt)
-    if remainder > 1e-12 * max(1.0, spec.t_max):
-        h = np.append(h, remainder)
-    ends = np.cumsum(h)
-    stages = np.empty(2 * h.size + 1)
+    try:
+        h = np.full(n_full, spec.dt)
+        if remainder > 1e-12 * max(1.0, spec.t_max):
+            h = np.append(h, remainder)
+        ends = np.cumsum(h)
+        stages = np.empty(2 * h.size + 1)
+    except MemoryError:
+        raise InvalidArgumentError(
+            f"{n_full} steps of dt = {spec.dt!r} do not fit in memory; "
+            "raise dt") from None
     stages[0] = 0.0
     stages[2::2] = ends
     stages[1::2] = stages[0:-1:2] + 0.5 * h

@@ -17,6 +17,7 @@ pairwise products, gauged so the first segment has phase zero.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,7 +252,30 @@ def _phases_from_pairs(u: np.ndarray, k: int) -> np.ndarray:
     return np.mod(ph, 2.0 * np.pi)
 
 
+# The last successful fit of each position slice, as (breakpoint shape and
+# bytes, extras, result).  Both entry points fit the same system when given
+# the same slice, extras and cuts.  A slice holds its own read-only density
+# on a frozen grid.  The entry holds its extras, so no new slice can take
+# the place of one, and never its key, which _recover rejects as an extra.
+_FITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _solve(position: TomogramSlice, extras, breakpoints):
+    """_fit, or the position slice's last fit when the cuts are equal and
+    the extras are the same objects in the same order.  Failures are not
+    kept, and the kept products are read-only."""
+    cuts = (breakpoints.shape, breakpoints.tobytes())
+    last = _FITS.get(position)
+    if (last is not None and last[0] == cuts and len(last[1]) == len(extras)
+            and all(a is b for a, b in zip(last[1], extras))):
+        return last[2]
+    fit = _fit(position, extras, breakpoints)
+    fit[0].flags.writeable = False
+    _FITS[position] = (cuts, tuple(extras), fit)
+    return fit
+
+
+def _fit(position: TomogramSlice, extras, breakpoints):
     """Shared least-squares assembly; returns (sol_pairs, residual, cond, K).
 
     The stacked rows read

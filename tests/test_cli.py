@@ -449,6 +449,8 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
      "invalid-argument", 2),
     (["evolve", "--omega=constant:1", "--t-max=1e10", "--dt=1e-10"],
      "invalid-argument", 2),
+    (["evolve", "--omega=constant:1", "--t-max=1e18", "--dt=1"],
+     "invalid-argument", 2),
     (["evolve", "--omega=constant:1", "--force=constant:1e308", "--t-max=1",
       "--dt=1e-3"], "invalid-argument", 2),
     (["evolve", "--omega=cosine-modulated:1,0.2,1e308", "--t-max=2",

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +12,7 @@ from tomokit.errors import (
     InsufficientDataError,
     InvalidArgumentError,
     ResolutionError,
+    TomokitError,
 )
 from tomokit.reconstruct import PhaseRecoveryResult, PiecewiseState
 
@@ -312,6 +317,156 @@ def test_mismatched_slices_are_inconsistent(grid, directions, method):
 def test_result_rejects_non_finite_residual():
     with pytest.raises(InvalidArgumentError):
         PhaseRecoveryResult(np.zeros(2), np.nan, 1.0, "ok")
+
+
+# ---------------------------------------------------------------- shared fit
+
+
+def lobes(grid, centres, sigmas, weights, phases):
+    amps = sum(w * np.exp(1j * phi) * np.exp(-(grid.points - c) ** 2 / (4 * s * s))
+               for c, s, w, phi in zip(centres, sigmas, weights, phases))
+    return core.WaveFunction(grid, amps)
+
+
+@st.composite
+def lobe_states(draw):
+    """2-4 Gaussian lobes 4-4.6 apart with free phases, and four unit
+    directions, one per quarter of [0.26, pi - 0.26]."""
+    k = draw(st.integers(2, 4))
+    spacing = draw(st.floats(4.0, 4.6))
+    centres = (np.arange(k) - 0.5 * (k - 1)) * spacing + draw(st.floats(-0.5, 0.5))
+    sigmas = draw(st.lists(st.floats(0.3, 0.4), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.6, 1.0), min_size=k, max_size=k))
+    phases = [0.0] + draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=k - 1,
+                                   max_size=k - 1))
+    u = draw(st.lists(st.floats(0.15, 0.85), min_size=4, max_size=4))
+    angles = 0.26 + (np.pi - 0.52) * (np.arange(4) + u) / 4
+    return k, (centres, sigmas, weights, phases), [(np.cos(a), np.sin(a)) for a in angles]
+
+
+def fresh(s):
+    """A copy of the slice that no earlier fit can have seen."""
+    return transform.TomogramSlice(s.mu, s.nu, s.grid, s.density)
+
+
+def outcome(method, position, extras, cuts) -> str:
+    """repr of the result's fields, or of the error type and message."""
+    try:
+        if method == "nodes":
+            res = reconstruct.recover_phases_nodes(position, extras, cuts)
+        else:
+            res = reconstruct.recover_phases_piecewise(cuts, position, extras)
+    except TomokitError as exc:
+        return repr((type(exc), str(exc)))
+    return repr((res.phases.tolist(), res.residual, res.condition_estimate, res.status))
+
+
+def from_scratch(method, position, extras, cuts) -> str:
+    return outcome(method, fresh(position), [fresh(s) for s in extras], cuts)
+
+
+def fit_count(fn, *args):
+    with mock.patch.object(reconstruct, "_fit", wraps=reconstruct._fit) as fit:
+        fn(*args)
+    return fit.call_count
+
+
+@settings(max_examples=24, deadline=None)
+@given(drawn=lobe_states())
+def test_second_solver_reuses_the_fit_bit_for_bit(grid, drawn):
+    k, params, directions = drawn
+    psi = lobes(grid, *params)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    every = slices_for(psi, directions)
+    cuts = reconstruct.detect_nodes(pos)
+    for extras in (every[:k - 1], every[:k], every):
+        for order in (("nodes", "piecewise"), ("piecewise", "nodes")):
+            pos = fresh(pos)
+            for method in order:
+                assert (outcome(method, pos, extras, cuts)
+                        == from_scratch(method, pos, extras, cuts))
+    # both entry points on one slice with the same extras and cuts fit once,
+    # unless the fit fails
+    pos = fresh(pos)
+    with mock.patch.object(reconstruct, "_fit", wraps=reconstruct._fit) as fit:
+        first = outcome("nodes", pos, every, cuts)
+        outcome("piecewise", pos, every, cuts)
+    assert fit.call_count == (2 if "Error" in first else 1)
+
+
+def test_near_misses_fit_again(grid, directions):
+    psi = lobes(grid, [-4.3, 0.1, 4.4], [0.35, 0.3, 0.4], [1.0, 0.7, 0.9],
+                [0.0, 2.0, 4.5])
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    extras = slices_for(psi, directions)
+    cuts = reconstruct.detect_nodes(pos)
+    assert cuts.size == 2
+    other = transform.tomogram(lobes(grid, [-4.3, 0.1, 4.4], [0.35, 0.3, 0.4],
+                                     [1.0, 0.7, 0.9], [0.0, 1.0, 4.5]),
+                               extras[0].mu, extras[0].nu)
+    near = [("nodes", extras[::-1], cuts),
+            ("nodes", extras[:2], cuts),
+            ("nodes", [other] + extras[1:], cuts),
+            ("nodes", extras, cuts + 0.01)]
+    for method, again, again_cuts in near:
+        assert outcome("piecewise", pos, extras, cuts) == from_scratch(
+            "piecewise", pos, extras, cuts)
+        assert fit_count(outcome, method, pos, again, again_cuts) == 1
+        assert (outcome(method, pos, again, again_cuts)
+                == from_scratch(method, pos, again, again_cuts))
+    # equal cuts in another array are the same key
+    outcome("piecewise", pos, extras, cuts)
+    assert fit_count(outcome, "nodes", pos, list(extras), cuts.copy()) == 0
+
+
+def test_cut_shape_is_part_of_the_key(grid):
+    # a 0-d cut has the bytes of a 1-d one but is not a fitted fragmentation
+    psi = two_bump(grid, 1.0)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    extras = slices_for(psi, reconstruct.quasi_uniform_directions(2))
+    reconstruct.recover_phases_piecewise([0.0], pos, extras)
+    with mock.patch.object(reconstruct, "_fit", wraps=reconstruct._fit) as fit:
+        with pytest.raises((ValueError, InvalidArgumentError)):
+            reconstruct.recover_phases_piecewise(0.0, pos, extras)
+    assert fit.call_count == 1
+
+
+def test_fit_memo_lets_the_position_slice_go(grid, directions):
+    psi = two_bump(grid, 1.0)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    extras = slices_for(psi, directions)
+    reconstruct.recover_phases_nodes(pos, extras, [0.0])
+    reconstruct.recover_phases_piecewise([0.0], pos, extras)
+    assert pos in reconstruct._FITS
+    ref = weakref.ref(pos)
+    del pos
+    gc.collect()
+    assert ref() is None
+    assert len(reconstruct._FITS) == 0
+
+
+def test_failed_fit_is_not_kept(grid):
+    psi = core.sample_state(core.GaussianPreset(0.5, 1.0, 0.7), grid)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    extra = [transform.tomogram(psi, 0.6, 0.8)]
+    for method in ("nodes", "piecewise", "nodes"):
+        got = outcome(method, pos, extra, np.zeros(0))
+        assert "InconsistentTomogramsError" in got and "residual" in got
+        assert got == outcome("nodes", pos, extra, np.zeros(0))
+    assert pos not in reconstruct._FITS
+
+
+def test_kept_fit_is_read_only(grid, directions):
+    psi = two_bump(grid, 2.0)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    extras = slices_for(psi, directions)
+    first = reconstruct.recover_phases_nodes(pos, extras, [0.0])
+    sol = reconstruct._FITS[pos][2][0]
+    with pytest.raises(ValueError, match="read-only"):
+        sol[0, 0] = 1.0
+    assert (outcome("nodes", pos, extras, [0.0])
+            == repr((first.phases.tolist(), first.residual,
+                     first.condition_estimate, first.status)))
 
 
 # ---------------------------------------------------------------- directions
