@@ -330,32 +330,42 @@ def harmonic_position_history(psi0: WaveFunction, times,
     return PositionHistory(times, slices)
 
 
+def _recorded(history: PositionHistory, t: float, mu: float, nu: float,
+              scale: float, shift: float) -> TomogramSlice:
+    """The (mu, nu) slice of density rho_t((X - shift)/scale)/|scale|.
+
+    The recorded rho_t, placed on the grid moved by shift/scale, is read at
+    X/scale by the transform at (scale, 0), whose plan serves every shift.
+    It must integrate to 1 within 1e-5 (else ResolutionError), then is
+    rescaled exactly.
+    """
+    dens = history.density_at(t)
+    grid = history.grid
+    if scale == 1.0 and shift == 0.0:
+        out = dens
+    else:
+        moved = SpatialGrid(grid.x_min + shift / scale, grid.dx, grid.n_points)
+        out = np.abs(_quadrature(dens, moved, scale, 0.0, grid)) / np.sqrt(abs(scale))
+    integral = float(out.sum() * grid.dx)
+    if abs(integral - 1.0) > 1e-5:
+        raise ResolutionError(
+            f"recovered slice at ({mu!r}, {nu!r}) integrates to {integral!r}; "
+            "the scaled or shifted support leaves the grid")
+    return TomogramSlice(mu, nu, grid, out, renormalize=True)
+
+
 def initial_tomogram_from_position_history(history: PositionHistory, mu: float,
                                            nu: float) -> TomogramSlice:
     """Initial-state tomogram at (mu, nu) read off free-flight position data.
 
     Free flight reaches the direction (mu, nu) at time t* = nu/mu through
-    density(X) = rho(t*, X/mu) / |mu|, so the history must hold t*.  The
-    resampling at X/mu is the band-limited one of the transform at
-    (mu, 0); the result is checked to stay normalized within 1e-5 and then
-    rescaled exactly.
+    density(X) = rho(t*, X/mu) / |mu|, so the history must hold t*.
     """
     mu, nu = _direction(mu, nu)
     if mu == 0.0:
         raise InvalidArgumentError(
             "mu = 0 is not reachable from free-flight position data")
-    dens_t = history.density_at(nu / mu)
-    grid = history.grid
-    if mu == 1.0:
-        out = dens_t
-    else:
-        out = np.abs(_quadrature(dens_t, grid, mu, 0.0, grid)) / np.sqrt(abs(mu))
-    integral = float(out.sum() * grid.dx)
-    if abs(integral - 1.0) > 1e-5:
-        raise ResolutionError(
-            f"recovered slice at ({mu!r}, {nu!r}) integrates to {integral!r}; "
-            "the scaled support leaves the grid")
-    return TomogramSlice(mu, nu, grid, out, renormalize=True)
+    return _recorded(history, nu / mu, mu, nu, mu, 0.0)
 
 
 def evolve_distribution(initial: Callable[[float, float, float], float],
@@ -387,35 +397,19 @@ def initial_tomogram_from_oscillator(history: PositionHistory,
                                      t: float) -> TomogramSlice:
     """Initial-state tomogram in the direction (Re eps(t), Im eps(t)).
 
-    Reads the position slice at time t and shifts its argument by
-    -sqrt(2) Re(eps conj(delta)).  A zero shift, as under zero force, is a
-    relabelling and returns the slice as recorded.  Otherwise the density
-    is shifted spectrally; the FFT is zero-padded to at least 2N samples
-    and past the shift, so mass carried off the grid lands in the padding
-    instead of wrapping back onto the grid.  A shift wider than the grid
-    leaves nothing on it and raises ResolutionError before the FFT is
-    sized.  The result is normalized within 1e-5 and rescaled exactly.
+    The position density at time t with its argument shifted by
+    -sqrt(2) Re(eps conj(delta)); under zero force the shift is 0 and the
+    slice is relabelled as recorded.  Mass shifted off the grid is lost,
+    not wrapped, and a shift wider than the grid raises ResolutionError
+    before any transform.
     """
     eps, _epsd, delta = traj.at(t)
     if np.hypot(eps.real, eps.imag) < 1e-12:
         raise DegenerateDirectionError(f"epsilon vanished at t = {t!r}")
-    dens_t = history.density_at(t)
     grid = history.grid
-    shift = np.sqrt(2.0) * (eps * np.conj(delta)).real
-    if shift == 0.0:
-        return TomogramSlice(eps.real, eps.imag, grid, dens_t, renormalize=True)
+    shift = float(np.sqrt(2.0) * (eps * np.conj(delta)).real)
     if not abs(shift) <= grid.x_max - grid.x_min:
         raise ResolutionError(
-            f"recovered slice at t = {t!r} is shifted by {float(shift)!r}, "
+            f"recovered slice at t = {t!r} is shifted by {shift!r}, "
             "past the grid width; the shifted support leaves the grid")
-    n = 1 << (2 * grid.n_points + int(abs(shift) / grid.dx) - 1).bit_length()
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
-    out = np.fft.ifft(np.fft.fft(dens_t, n) * np.exp(-1j * k * shift))
-    out = out[:grid.n_points].real
-    out = np.where(out < 0.0, 0.0, out)
-    integral = float(out.sum() * grid.dx)
-    if abs(integral - 1.0) > 1e-5:
-        raise ResolutionError(
-            f"recovered slice at t = {t!r} integrates to {integral!r}; the "
-            "shifted support leaves the grid")
-    return TomogramSlice(eps.real, eps.imag, grid, out, renormalize=True)
+    return _recorded(history, t, eps.real, eps.imag, 1.0, shift)

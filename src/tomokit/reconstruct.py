@@ -74,11 +74,10 @@ class PiecewiseState:
     segment j covers (breakpoint[j-1], breakpoint[j]] with open ends at
     +-infinity.  Each magnitude is a nonnegative array on ``grid`` vanishing
     outside its segment.  The assembled state sum_j exp(i phi_j) m_j is
-    normalized at construction (or verified to be, with normalize=False).
+    normalized at construction.
     """
 
-    def __init__(self, breakpoints, magnitudes, phases, grid: SpatialGrid,
-                 normalize: bool = True):
+    def __init__(self, breakpoints, magnitudes, phases, grid: SpatialGrid):
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1:
             raise InvalidArgumentError("breakpoints must be a 1D sequence")
@@ -112,12 +111,8 @@ class PiecewiseState:
                 raise InvalidArgumentError(
                     f"magnitude {j} has support outside its segment")
         nrm2 = sum(float(np.sum(m ** 2)) for m in mags) * grid.dx
-        if normalize:
-            scale = 1.0 / np.sqrt(nrm2)
-            mags = [m * scale for m in mags]
-        elif abs(nrm2 - 1.0) > 1e-8:
-            raise InvalidArgumentError(
-                f"assembled state has squared norm {nrm2!r}, off 1 beyond 1e-8")
+        scale = 1.0 / np.sqrt(nrm2)
+        mags = [m * scale for m in mags]
         for m in mags:
             m.flags.writeable = False
         self.breakpoints = bp
@@ -140,13 +135,15 @@ def piecewise_from_position(breakpoints, position: TomogramSlice,
     """
     _require_position(position)
     bp = np.asarray(breakpoints, dtype=float)
+    if bp.ndim != 1:
+        raise InvalidArgumentError("breakpoints must be a 1D sequence")
     grid = position.grid
     mag = np.sqrt(np.where(position.density < _DENSITY_CLAMP, 0.0, position.density))
     seg = _segment_index(bp, grid.points)
     mags = [np.where(seg == j, mag, 0.0) for j in range(bp.size + 1)]
     if phases is None:
         phases = np.zeros(bp.size + 1)
-    return PiecewiseState(bp, mags, phases, grid, normalize=True)
+    return PiecewiseState(bp, mags, phases, grid)
 
 
 def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
@@ -254,8 +251,8 @@ def _phases_from_pairs(u: np.ndarray, k: int) -> np.ndarray:
 
 # The last successful fit of each position slice, as (breakpoint shape and
 # bytes, extras, result).  Both entry points fit the same system when given
-# the same slice, extras and cuts.  A slice holds its own read-only density
-# on a frozen grid.  The entry holds its extras, so no new slice can take
+# the same slice, extras and cuts.  A slice's direction, grid and density
+# are read-only.  The entry holds its extras, so no new slice can take
 # the place of one, and never its key, which _recover rejects as an extra.
 _FITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 

@@ -90,10 +90,18 @@ class TomogramSlice:
             raise InvalidArgumentError(
                 f"density integrates to {integral!r}, off 1 beyond 1e-6")
         d.flags.writeable = False
-        self.mu = mu
-        self.nu = nu
+        self._mu = mu
+        self._nu = nu
         self._grid = grid
         self._density = d
+
+    @property
+    def mu(self) -> float:
+        return self._mu
+
+    @property
+    def nu(self) -> float:
+        return self._nu
 
     @property
     def grid(self) -> SpatialGrid:

@@ -5,6 +5,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from tomokit import core, dynamics, transform
 from tomokit.errors import (
+    DegenerateDirectionError,
     InvalidArgumentError,
     OutOfRangeError,
     ResolutionError,
@@ -361,10 +362,16 @@ def test_oscillator_recovery_matches_direct_tomogram(grid):
     assert np.max(np.abs(rec.density - ref.density)) < 5e-4
 
 
-def test_constant_force_recovery_matches_closed_form(grid):
+@pytest.mark.parametrize("c, t, x0, p0, sigma", [
+    (0.4, 1.3, 0.5, -0.3, 0.7),
+    (-0.7, 1.3, 0.5, -0.3, 0.7),
+    # squeezed packets carried 17.9 units, 3/4 of the grid width
+    (9.0, 3.0, 9.0, 0.0, 0.27),
+    (-9.0, 3.0, -9.0, 0.0, 0.27),
+])
+def test_constant_force_recovery_matches_closed_form(grid, c, t, x0, p0, sigma):
     # omega = 1, force c: the packet's centre gains c (1 - cos t), so the
     # position density at t is the initial (cos t, sin t) slice moved by it
-    c, t, x0, p0, sigma = 0.4, 1.3, 0.5, -0.3, 0.7
     mu, nu = np.cos(t), np.sin(t)
     mean = mu * x0 + nu * p0
     var = (mu * sigma) ** 2 + (nu / (2.0 * sigma)) ** 2
@@ -411,6 +418,19 @@ def test_evolve_distribution_free_flight(grid, vacuum):
     for X in (-1.0, 0.0, 0.7, 2.0):
         got = dynamics.evolve_distribution(initial, traj, t, X, mu, nu)
         assert abs(got - float(np.interp(X, grid.points, cdf_t))) < 1e-8
+
+
+def test_vanishing_epsilon_raises_degenerate_direction(vacuum):
+    # a hand-built trajectory through epsilon = 0 (epsilon' = i) at t = 2
+    traj = dynamics.OscillatorTrajectory(
+        np.arange(5.0), [1, 0, 0, 0, 0], [1j] * 5, [0] * 5)
+    hist = PositionHistory([2.0], [transform.tomogram(vacuum, 1.0, 0.0)])
+    with pytest.raises(DegenerateDirectionError, match="epsilon vanished"):
+        dynamics.initial_tomogram_from_oscillator(hist, traj, 2.0)
+    # there (mu, nu) = (1, 0) is carried to mu eps + nu eps' = 0
+    with pytest.raises(DegenerateDirectionError, match="direction collapsed"):
+        dynamics.evolve_distribution(lambda X, m, n: 0.5, traj, 2.0, 0.0,
+                                     1.0, 0.0)
 
 
 def test_evolve_distribution_rejects_null_direction(vacuum):

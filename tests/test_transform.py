@@ -171,6 +171,15 @@ def test_slice_rejects_unnormalized_density(grid):
     assert float(np.sum(s.density) * grid.dx) == pytest.approx(1.0)
 
 
+def test_slice_is_read_only(grid):
+    # a relabelled slice would meet fits memoised under its old direction
+    s = TomogramSlice(1.0, 0.0, grid, np.exp(-grid.points ** 2) / np.sqrt(np.pi))
+    for name in ("mu", "nu", "grid", "density"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+    assert not s.density.flags.writeable
+
+
 def test_slice_rejects_null_direction(grid):
     dens = np.exp(-grid.points ** 2) / np.sqrt(np.pi)
     with pytest.raises(InvalidArgumentError):
