@@ -23,9 +23,6 @@ from .errors import (InconsistentTomogramsError, InsufficientDataError,
                      InvalidArgumentError, OutOfRangeError, TomokitError,
                      UnsupportedError)
 
-_DEFAULT_GRID = "-12,12,2048"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of calling sys.exit."""
 
@@ -160,9 +157,14 @@ def _write_manifest(outdir: str, command: str, names, extra: dict | None = None)
 def _noisy(s: transform.TomogramSlice, rel: float, seed: int,
            index: int) -> transform.TomogramSlice:
     rng = np.random.default_rng([seed, index])
-    d = s.density * (1.0 + rel * rng.standard_normal(s.density.size))
-    return transform.TomogramSlice(s.mu, s.nu, s.grid,
-                                   np.where(d < 0.0, 0.0, d), renormalize=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = s.density * (1.0 + rel * rng.standard_normal(s.density.size))
+        d = np.where(d < 0.0, 0.0, d)
+        integral = float(d.sum() * s.grid.dx)
+    if not 0.0 < integral < np.inf:
+        raise InvalidArgumentError(
+            f"--noise {rel!r} leaves slice {index} without a finite, positive integral")
+    return transform.TomogramSlice(s.mu, s.nu, s.grid, d / integral)
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
@@ -295,7 +297,7 @@ def build_parser() -> _Parser:
     sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--state", required=True,
                      help="vacuum | gaussian:x0,p0,sigma | fock:n | CSV path")
-    sim.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID,
+    sim.add_argument("--grid", type=_parse_grid, default=core.default_grid(),
                      help="x_min,x_max,n_points")
     sim.add_argument("--direction", type=_parse_direction, action="append",
                      default=[], metavar="MU,NU",
@@ -331,7 +333,7 @@ def build_parser() -> _Parser:
                      type=lambda text: _parse_float_list(text, "--recover-at"),
                      help="recover the initial tomogram at these times")
     evo.add_argument("--state", help="initial state for recovery")
-    evo.add_argument("--grid", type=_parse_grid, default=_DEFAULT_GRID,
+    evo.add_argument("--grid", type=_parse_grid, default=core.default_grid(),
                      help="x_min,x_max,n_points")
     evo.add_argument("--out", default=".", help="output directory")
 

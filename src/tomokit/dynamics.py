@@ -337,7 +337,7 @@ def _recorded(history: PositionHistory, t: float, mu: float, nu: float,
     The recorded rho_t, placed on the grid moved by shift/scale, is read at
     X/scale by the transform at (scale, 0), whose plan serves every shift.
     It must integrate to 1 within 1e-5 (else ResolutionError), then is
-    rescaled exactly.
+    divided by its integral.
     """
     dens = history.density_at(t)
     grid = history.grid
@@ -351,7 +351,7 @@ def _recorded(history: PositionHistory, t: float, mu: float, nu: float,
         raise ResolutionError(
             f"recovered slice at ({mu!r}, {nu!r}) integrates to {integral!r}; "
             "the scaled or shifted support leaves the grid")
-    return TomogramSlice(mu, nu, grid, out, renormalize=True)
+    return TomogramSlice(mu, nu, grid, out / integral)
 
 
 def initial_tomogram_from_position_history(history: PositionHistory, mu: float,

@@ -68,55 +68,38 @@ def _segment_index(breakpoints: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class PiecewiseState:
-    """Magnitudes on a fragmentation of the line plus one phase per segment.
+    """One magnitude on a fragmentation of the line plus one phase per segment.
 
     ``breakpoints`` are the K-1 interior cut positions (possibly none);
     segment j covers (breakpoint[j-1], breakpoint[j]] with open ends at
-    +-infinity.  Each magnitude is a nonnegative array on ``grid`` vanishing
-    outside its segment.  The assembled state sum_j exp(i phi_j) m_j is
-    normalized at construction.
+    +-infinity.  ``magnitude`` is one nonnegative array on ``grid``; its
+    windows to the K segments are the read-only rows of ``magnitudes``.
+    The assembled state sum_j exp(i phi_j) m_j is normalized at construction.
     """
 
-    def __init__(self, breakpoints, magnitudes, phases, grid: SpatialGrid):
+    def __init__(self, breakpoints, magnitude, phases, grid: SpatialGrid):
         bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1:
-            raise InvalidArgumentError("breakpoints must be a 1D sequence")
-        if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
-            raise InvalidArgumentError("breakpoints must be finite, strictly increasing")
+        if bp.ndim != 1 or not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
+            raise InvalidArgumentError(
+                "breakpoints must be a finite, strictly increasing 1D sequence")
         if not isinstance(grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
         k = bp.size + 1
-        if len(magnitudes) != k:
-            raise InvalidArgumentError(
-                f"{bp.size} breakpoints define {k} segments, got "
-                f"{len(magnitudes)} magnitudes")
         ph = np.asarray(phases, dtype=float)
         if ph.shape != (k,) or not np.all(np.isfinite(ph)):
             raise InvalidArgumentError(f"need {k} finite phases")
-        mags = []
-        for m in magnitudes:
-            arr = np.asarray(m, dtype=float)
-            if arr.shape != (grid.n_points,):
-                raise InvalidArgumentError("each magnitude must match the grid")
-            if not np.all(np.isfinite(arr)) or arr.min() < 0.0:
-                raise InvalidArgumentError("magnitudes must be finite and nonnegative")
-            mags.append(arr)
+        mag = np.asarray(magnitude, dtype=float)
+        if (mag.shape != (grid.n_points,) or not np.all(np.isfinite(mag))
+                or mag.min() < 0.0 or mag.max() <= 0.0):
+            raise InvalidArgumentError("the magnitude must match the grid and be "
+                                       "finite, nonnegative and not all zero")
         seg = _segment_index(bp, grid.points)
-        peak = max(m.max() for m in mags)
-        if peak <= 0.0:
-            raise InvalidArgumentError("all magnitudes are zero")
-        for j, m in enumerate(mags):
-            stray = m[seg != j]
-            if stray.size and stray.max() > 1e-12 * peak:
-                raise InvalidArgumentError(
-                    f"magnitude {j} has support outside its segment")
-        nrm2 = sum(float(np.sum(m ** 2)) for m in mags) * grid.dx
-        scale = 1.0 / np.sqrt(nrm2)
-        mags = [m * scale for m in mags]
-        for m in mags:
-            m.flags.writeable = False
+        rows = np.where(seg == np.arange(k)[:, None], mag, 0.0)
+        nrm2 = sum(float(np.sum(r ** 2)) for r in rows) * grid.dx
+        rows = rows * (1.0 / np.sqrt(nrm2))
+        rows.flags.writeable = False
         self.breakpoints = bp
-        self.magnitudes = mags
+        self.magnitudes = rows
         self.phases = np.mod(ph, 2.0 * np.pi)
         self.grid = grid
 
@@ -127,23 +110,15 @@ class PiecewiseState:
 
 def piecewise_from_position(breakpoints, position: TomogramSlice,
                             phases=None) -> PiecewiseState:
-    """Window sqrt(position density) by the fragmentation.
-
-    Density below 1e-14 is clamped to zero before the square root.  Phases
-    default to all zero; this is the reference state both solvers measure
-    phase differences against.
-    """
+    """sqrt(position density), clamped to zero below 1e-14, on the
+    fragmentation.  Phases default to all zero: the reference state both
+    solvers measure phase differences against."""
     _require_position(position)
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.ndim != 1:
-        raise InvalidArgumentError("breakpoints must be a 1D sequence")
-    grid = position.grid
-    mag = np.sqrt(np.where(position.density < _DENSITY_CLAMP, 0.0, position.density))
-    seg = _segment_index(bp, grid.points)
-    mags = [np.where(seg == j, mag, 0.0) for j in range(bp.size + 1)]
+    d = position.density
     if phases is None:
-        phases = np.zeros(bp.size + 1)
-    return PiecewiseState(bp, mags, phases, grid)
+        phases = np.zeros(np.size(breakpoints) + 1)
+    return PiecewiseState(breakpoints, np.sqrt(np.where(d < _DENSITY_CLAMP, 0.0, d)),
+                          phases, position.grid)
 
 
 def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
@@ -161,10 +136,9 @@ def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
     mu, nu = _direction(mu, nu)
     if not isinstance(grid, SpatialGrid):
         raise InvalidArgumentError("grid must be a SpatialGrid")
-    mags = np.stack(state.magnitudes)
-    waves = _quadrature(mags, state.grid, mu, nu, grid)
+    waves = _quadrature(state.magnitudes, state.grid, mu, nu, grid)
     gram = (waves.conj() @ waves.T) * grid.dx
-    masses = np.sum(mags ** 2, axis=1) * state.grid.dx
+    masses = np.sum(state.magnitudes ** 2, axis=1) * state.grid.dx
     dev = np.abs(gram - np.diag(masses)).max()
     if not dev <= _ORTHOGONALITY_LIMIT:
         raise ResolutionError(
@@ -180,13 +154,15 @@ def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
 
 
 def assemble_state(state: PiecewiseState, grid: SpatialGrid) -> WaveFunction:
-    """Phase-weighted sum of the segment magnitudes as a WaveFunction."""
+    """Phase-weighted sum of the segment magnitudes as a WaveFunction.
+
+    Each sample has one nonzero term, so the sum is exact, and it starts
+    from +0.0: a zero sample is +0.0 whatever the phase of its segment.
+    """
     if grid != state.grid:
         raise InvalidArgumentError("state was sampled on a different grid")
-    amps = np.zeros(grid.n_points, dtype=complex)
-    for phi, m in zip(state.phases, state.magnitudes):
-        amps += np.exp(1j * phi) * m
-    return WaveFunction(grid, amps)
+    terms = np.exp(1j * state.phases)[:, None] * state.magnitudes
+    return WaveFunction(grid, np.sum(terms, axis=0))
 
 
 def _require_position(s: TomogramSlice) -> None:
@@ -381,12 +357,14 @@ def recover_phases_piecewise(fragmentation, position: TomogramSlice,
 def quasi_uniform_directions(n: int, r: float = 1.0,
                              margin: float = 0.05) -> list[tuple[float, float]]:
     """n directions r*(cos theta, sin theta) with theta quasi-uniform in
-    (0, pi), nudged away from pi/2 by ``margin`` to avoid the degenerate
-    pure-momentum angle."""
+    (0, pi), nudged away from pi/2 by ``margin`` in [0, pi/2) to avoid the
+    degenerate pure-momentum angle."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError("n must be a positive integer")
     if not 0.0 < r < np.inf:
         raise InvalidArgumentError("r must be positive and finite")
+    if not 0.0 <= margin < np.pi / 2:
+        raise InvalidArgumentError("margin must lie in [0, pi/2)")
     out = []
     for i in range(n):
         theta = np.pi * (2 * i + 1) / (2 * n)

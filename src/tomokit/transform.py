@@ -61,12 +61,10 @@ class TomogramSlice:
     """Tomographic density of the quadrature mu*x + nu*p on a grid.
 
     Invariants: (mu, nu) finite and != (0, 0); density >= 0;
-    sum(density) dx = 1 within 1e-6 (pass renormalize=True to rescale data
-    that is known good to a looser tolerance).
+    sum(density) dx = 1 within 1e-6.
     """
 
-    def __init__(self, mu: float, nu: float, grid: SpatialGrid, density,
-                 renormalize: bool = False):
+    def __init__(self, mu: float, nu: float, grid: SpatialGrid, density):
         mu, nu = _direction(mu, nu)
         if not isinstance(grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
@@ -84,9 +82,7 @@ class TomogramSlice:
                 f"density has negative values down to {d.min()!r}")
         d = np.where(d < 0.0, 0.0, d)
         integral = float(d.sum() * grid.dx)
-        if renormalize:
-            d = d / integral
-        elif abs(integral - 1.0) > 1e-6:
+        if abs(integral - 1.0) > 1e-6:
             raise InvalidArgumentError(
                 f"density integrates to {integral!r}, off 1 beyond 1e-6")
         d.flags.writeable = False

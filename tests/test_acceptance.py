@@ -31,8 +31,8 @@ def criterion(name):
 def noisy_slice(s, rel, seed, index):
     rng = np.random.default_rng([seed, index])
     d = s.density * (1.0 + rel * rng.standard_normal(s.density.size))
-    return transform.TomogramSlice(s.mu, s.nu, s.grid,
-                                   np.clip(d, 0.0, None), renormalize=True)
+    d = np.clip(d, 0.0, None)
+    return transform.TomogramSlice(s.mu, s.nu, s.grid, d / float(d.sum() * s.grid.dx))
 
 
 def two_segment_state(grid, phi):

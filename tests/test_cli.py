@@ -71,10 +71,17 @@ def test_simulate_noise_is_seeded(tmp_path):
     assert same[0] != same[2]
 
 
-def test_simulate_nan_noise_exits_2(tmp_path, capsys):
+# 1e307 overflows the noisy slice's integral; 1e308 overflows the noise
+# factor itself, which times a tail that underflowed to 0 is nan.
+@pytest.mark.parametrize("state, noise", [("vacuum", "nan"), ("vacuum", "1e307"),
+                                          ("vacuum", "1e308"),
+                                          ("gaussian:0,0,0.3", "1e308")])
+def test_simulate_bad_noise_exits_2(tmp_path, capsys, state, noise):
     out = tmp_path / "out"
-    assert simulate_vacuum(out, (1.0, 0.0), extra=["--noise=nan"]) == 2
-    assert capsys.readouterr().err.startswith("ERROR invalid-argument: --noise")
+    assert cli.main(["simulate", f"--state={state}", "--direction=1,0",
+                     f"--noise={noise}", f"--out={out}"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR invalid-argument: --noise")
     assert not out.exists()
 
 
@@ -726,6 +733,10 @@ def fuzz_inputs(tmp_path_factory):
                "--direction=1,0", "--out={out}"])
 @example(argv=["simulate", "--state=gaussian:0,0,1e-5", "--grid=-12,12,256",
                "--direction=1,0", "--out={out}"])
+@example(argv=["simulate", "--state=vacuum", "--direction=1,0", "--noise=1e307",
+               "--out={out}"])
+@example(argv=["simulate", "--state=vacuum", "--direction=1,0", "--noise=1e308",
+               "--out={out}"])
 def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, argv):
     out = fuzz_inputs["root"] / f"out{next(fuzz_inputs['runs'])}"
     argv = [a.format(out=out, **fuzz_inputs) for a in argv]

@@ -41,36 +41,63 @@ def slices_for(psi, directions):
 
 def test_piecewise_state_counts_segments(grid):
     x = grid.points
-    left = np.where(x <= 0.0, np.exp(-(x + 2.5) ** 2), 0.0)
-    right = np.where(x > 0.0, np.exp(-(x - 2.5) ** 2), 0.0)
-    st = PiecewiseState([0.0], [left, right], [0.0, 1.0], grid)
+    mag = np.exp(-(np.abs(x) - 2.5) ** 2)
+    st = PiecewiseState([0.0], mag, [0.0, 1.0], grid)
     assert st.n_segments == 2
+    assert st.magnitudes.shape == (2, grid.n_points)
+    assert not st.magnitudes.flags.writeable
     nrm2 = sum(float(np.sum(m ** 2)) for m in st.magnitudes) * grid.dx
     assert nrm2 == pytest.approx(1.0)
 
 
 def test_piecewise_state_wraps_phases(grid):
-    x = grid.points
-    mags = [np.where(x <= 0.0, np.exp(-x ** 2), 0.0),
-            np.where(x > 0.0, np.exp(-x ** 2), 0.0)]
-    st = PiecewiseState([0.0], mags, [-np.pi / 2, 3 * np.pi], grid)
+    st = PiecewiseState([0.0], np.exp(-grid.points ** 2),
+                        [-np.pi / 2, 3 * np.pi], grid)
     assert st.phases[0] == pytest.approx(3 * np.pi / 2)
     assert st.phases[1] == pytest.approx(np.pi)
 
 
-def test_piecewise_state_rejects_stray_support(grid):
-    full = np.exp(-grid.points ** 2)
-    with pytest.raises(InvalidArgumentError, match="outside its segment"):
-        PiecewiseState([0.0], [full, full], [0.0, 0.0], grid)
-
-
 def test_piecewise_state_rejects_wrong_counts(grid):
-    x = grid.points
-    m = np.where(x <= 0.0, np.exp(-x ** 2), 0.0)
+    m = np.exp(-grid.points ** 2)
+    for phases in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(InvalidArgumentError, match="2 finite phases"):
+            PiecewiseState([0.0], m, phases, grid)
     with pytest.raises(InvalidArgumentError):
-        PiecewiseState([0.0], [m], [0.0], grid)
-    with pytest.raises(InvalidArgumentError):
-        PiecewiseState([1.0, -1.0], [m, m, m], [0.0] * 3, grid)
+        PiecewiseState([1.0, -1.0], m, [0.0] * 3, grid)
+
+
+def test_piecewise_state_rejects_bad_magnitude(grid):
+    m = np.exp(-grid.points ** 2)
+    negative, nonfinite = m.copy(), m.copy()
+    negative[5] = -1e-300
+    nonfinite[5] = np.nan
+    for bad in (m[:-1], np.stack([m, m]), negative, nonfinite,
+                np.zeros(grid.n_points)):
+        with pytest.raises(InvalidArgumentError, match="magnitude"):
+            PiecewiseState([0.0], bad, [0.0, 0.0], grid)
+
+
+def _accumulated(state, grid):
+    """assemble_state as a per-segment accumulate loop."""
+    amps = np.zeros(grid.n_points, dtype=complex)
+    for phi, m in zip(state.phases, state.magnitudes):
+        amps += np.exp(1j * phi) * m
+    return core.WaveFunction(grid, amps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.lists(st.floats(-6.0, 6.0), max_size=4, unique=True),
+       phases=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+       width=st.floats(0.3, 3.0))
+def test_assemble_state_matches_segment_loop(small_grid, cuts, phases, width):
+    x = small_grid.points
+    psi = core.WaveFunction(small_grid, np.exp(-x ** 2 / (2 * width ** 2))
+                            * (1.0 + 0.5 * np.cos(3.0 * x)))
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    state = reconstruct.piecewise_from_position(sorted(cuts), pos,
+                                                phases[:len(cuts) + 1])
+    got = reconstruct.assemble_state(state, small_grid).amplitudes
+    assert got.tobytes() == _accumulated(state, small_grid).amplitudes.tobytes()
 
 
 def test_piecewise_from_position_windows_partition(grid):
@@ -479,3 +506,9 @@ def test_quasi_uniform_directions_validate():
     for r in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             reconstruct.quasi_uniform_directions(4, r=r)
+    # each of these returned a direction on an axis or with nu < 0
+    for n, margin in ((3, np.nan), (3, -0.1), (2, 2.0), (2, np.pi / 2)):
+        with pytest.raises(InvalidArgumentError, match="margin"):
+            reconstruct.quasi_uniform_directions(n, margin=margin)
+    for mu, nu in reconstruct.quasi_uniform_directions(2, margin=1.5):
+        assert nu > 0.0

@@ -167,7 +167,7 @@ def test_slice_rejects_unnormalized_density(grid):
     dens = np.exp(-grid.points ** 2)
     with pytest.raises(InvalidArgumentError):
         TomogramSlice(1.0, 0.0, grid, dens)
-    s = TomogramSlice(1.0, 0.0, grid, dens, renormalize=True)
+    s = TomogramSlice(1.0, 0.0, grid, dens / float(dens.sum() * grid.dx))
     assert float(np.sum(s.density) * grid.dx) == pytest.approx(1.0)
 
 
