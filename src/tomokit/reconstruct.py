@@ -79,9 +79,10 @@ class PiecewiseState:
 
     def __init__(self, breakpoints, magnitude, phases, grid: SpatialGrid):
         bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
-            raise InvalidArgumentError(
-                "breakpoints must be a finite, strictly increasing 1D sequence")
+        if bp.ndim != 1:
+            raise InvalidArgumentError("breakpoints must be a 1D sequence")
+        if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
+            raise InvalidArgumentError("breakpoints must be finite, strictly increasing")
         if not isinstance(grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
         k = bp.size + 1
@@ -110,9 +111,12 @@ class PiecewiseState:
 
 def piecewise_from_position(breakpoints, position: TomogramSlice,
                             phases=None) -> PiecewiseState:
-    """sqrt(position density), clamped to zero below 1e-14, on the
-    fragmentation.  Phases default to all zero: the reference state both
-    solvers measure phase differences against."""
+    """sqrt(position density) on the fragmentation.
+
+    Density below 1e-14 is clamped to zero before the square root.  Phases
+    default to all zero; this is the reference state both solvers measure
+    phase differences against.
+    """
     _require_position(position)
     d = position.density
     if phases is None:
@@ -357,14 +361,14 @@ def recover_phases_piecewise(fragmentation, position: TomogramSlice,
 def quasi_uniform_directions(n: int, r: float = 1.0,
                              margin: float = 0.05) -> list[tuple[float, float]]:
     """n directions r*(cos theta, sin theta) with theta quasi-uniform in
-    (0, pi), nudged away from pi/2 by ``margin`` in [0, pi/2) to avoid the
+    (0, pi), nudged away from pi/2 by ``margin`` in (0, pi/2) to avoid the
     degenerate pure-momentum angle."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError("n must be a positive integer")
     if not 0.0 < r < np.inf:
         raise InvalidArgumentError("r must be positive and finite")
-    if not 0.0 <= margin < np.pi / 2:
-        raise InvalidArgumentError("margin must lie in [0, pi/2)")
+    if not 0.0 < margin < np.pi / 2:
+        raise InvalidArgumentError("margin must lie in (0, pi/2)")
     out = []
     for i in range(n):
         theta = np.pi * (2 * i + 1) / (2 * n)

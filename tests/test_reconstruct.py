@@ -507,7 +507,7 @@ def test_quasi_uniform_directions_validate():
         with pytest.raises(InvalidArgumentError):
             reconstruct.quasi_uniform_directions(4, r=r)
     # each of these returned a direction on an axis or with nu < 0
-    for n, margin in ((3, np.nan), (3, -0.1), (2, 2.0), (2, np.pi / 2)):
+    for n, margin in ((3, np.nan), (3, -0.1), (3, 0.0), (2, 2.0), (2, np.pi / 2)):
         with pytest.raises(InvalidArgumentError, match="margin"):
             reconstruct.quasi_uniform_directions(n, margin=margin)
     for mu, nu in reconstruct.quasi_uniform_directions(2, margin=1.5):
