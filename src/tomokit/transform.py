@@ -221,10 +221,15 @@ def _transform_samples(values: np.ndarray, grid: SpatialGrid, mu: float,
     Evaluates dy * sum_n values_n exp(i mu y_n^2/(2 nu) - i x_k y_n/nu)
     divided by sqrt(2 pi |nu|) on the output grid, along the last axis of
     a (..., N) stack, with the cached plan of (grid, mu, nu, out_grid).
+    The convolution runs in place in one zero-padded (..., L) buffer.
     """
     plan = _plan(grid, mu, nu, out_grid)
-    conv = np.fft.ifft(np.fft.fft(values * plan.pre, plan.ker.size) * plan.ker)
-    return conv[..., :out_grid.n_points] * plan.post
+    buf = np.zeros(np.shape(values)[:-1] + plan.ker.shape, dtype=complex)
+    np.multiply(values, plan.pre, out=buf[..., :grid.n_points])
+    np.fft.fft(buf, out=buf)
+    buf *= plan.ker
+    np.fft.ifft(buf, out=buf)
+    return buf[..., :out_grid.n_points] * plan.post
 
 
 def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
@@ -276,14 +281,15 @@ def _momentum(values: np.ndarray, grid: SpatialGrid,
     return phi, kgrid
 
 
-def _check_norm(out: np.ndarray, grid: SpatialGrid) -> None:
-    """Unitarity: a transformed state keeps norm 1 within 1e-8.
+def _check_norm(out: np.ndarray, density: np.ndarray, grid: SpatialGrid) -> None:
+    """Unitarity: a transformed state ``out``, whose squared modulus is
+    ``density``, keeps norm 1 within 1e-8.
 
     Norm lost with amplitude at a grid edge means the output spills off
     the grid; norm lost with none there (or no output at all) means the
     slice is narrower than dx, and w(X; l mu, l nu) = w(X/l; mu, nu)/|l|.
     """
-    nrm = float(np.sqrt(np.sum(np.abs(out) ** 2) * grid.dx))
+    nrm = float(np.sqrt(np.sum(density) * grid.dx))
     if abs(nrm - 1.0) <= 1e-8:
         return
     mag = np.abs(out)
@@ -312,7 +318,7 @@ def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunctio
                f"the transform at (mu={mu!r}, nu=0.0) is singular")
         raise ResolutionError(f"{why}; tomogram() computes this direction's density")
     out = _transform_samples(psi.amplitudes, grid, mu, nu, grid)
-    _check_norm(out, grid)
+    _check_norm(out, np.abs(out) ** 2, grid)
     return WaveFunction(grid, out, normalize=False, norm_tol=None)
 
 
@@ -324,8 +330,9 @@ def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
     if (mu, nu) == (1.0, 0.0):
         return TomogramSlice(mu, nu, grid, psi.density())
     out = _quadrature(psi.amplitudes, grid, mu, nu, grid)
-    _check_norm(out, grid)
-    return TomogramSlice(mu, nu, grid, np.abs(out) ** 2)
+    density = np.abs(out) ** 2
+    _check_norm(out, density, grid)
+    return TomogramSlice(mu, nu, grid, density)
 
 
 def tomogram_gaussian(state: GaussianState, mu: float, nu: float,

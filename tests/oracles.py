@@ -16,6 +16,15 @@ def direct_transform(values, x, mu, nu, x_out):
     return kernel @ values * dy / np.sqrt(2.0 * np.pi * abs(nu))
 
 
+def bluestein_reference(values, plan, n_out):
+    """Chirp-z sum of a (..., N) stack from a transform plan's three vectors,
+    written as three separate temporaries: the zero-padded FFT of the
+    chirped input, its product with the kernel, and the inverse FFT."""
+    padded = np.fft.fft(values * plan.pre, plan.ker.size)
+    conv = np.fft.ifft(padded * plan.ker)
+    return conv[..., :n_out] * plan.post
+
+
 def hermite_psi(n, x):
     """Oscillator eigenfunction via the library Hermite polynomial."""
     lognorm = -0.5 * (n * np.log(2.0) + gammaln(n + 1.0) + 0.5 * np.log(np.pi))

@@ -198,14 +198,68 @@ def test_reconstruct_piecewise_needs_breakpoints(tmp_path):
 
 
 def test_reconstruct_failing_fit_writes_nothing(tmp_path, capsys):
+    # an extra slice at so short a direction that the transform's kernel
+    # oscillates faster than the grid can sample
     sim = tmp_path / "sim"
-    assert simulate_vacuum(sim, (1.0, 0.0), (0.6, 0.8)) == 0
+    assert simulate_vacuum(sim, (1.0, 0.0)) == 0
+    pos = io.read_slice_csv(sim / "slice_000.csv")
+    io.write_slice_csv(sim / "slice_001.csv",
+                       transform.TomogramSlice(0.006, 0.008, pos.grid, pos.density))
     capsys.readouterr()
     assert run("reconstruct", f"--in={sim}", "--breakpoints=0",
                f"--out={tmp_path / 'rec'}") == 4
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("ERROR resolution-error: ")
+    assert line.startswith("ERROR resolution-error: kernel at (mu=0.006, nu=0.008) ")
     assert not (tmp_path / "rec").exists()
+
+
+FOCK_DIRECTIONS = ("--direction=1,0", "--direction=0.6,0.8",
+                   "--direction=-0.6,0.8", "--direction=0.3,0.95")
+
+
+def simulate_fock(tmp_path, n):
+    """Slices of fock:n on the default grid and its wavefunction CSV."""
+    truth, sim = tmp_path / f"fock{n}.csv", tmp_path / f"sim{n}"
+    io.write_wavefunction_csv(
+        truth, core.sample_state(core.FockPreset(n), core.default_grid()))
+    assert run("simulate", f"--state=fock:{n}", *FOCK_DIRECTIONS,
+               f"--out={sim}") == 0
+    return sim, truth
+
+
+@pytest.mark.parametrize("n, flags", [
+    (1, ()), (2, ()), (3, ()),
+    (1, ("--method=piecewise", "--breakpoints=0")),
+    (2, ("--method=piecewise",
+         "--breakpoints=-0.7071067811865476,0.7071067811865476")),
+])
+def test_reconstruct_fock_states_on_the_default_grid(tmp_path, n, flags):
+    # cuts at the nodes leave kinked segments whose transforms ring past
+    # the grid edge; the rows of the fit are exact samples all the same
+    sim, truth = simulate_fock(tmp_path, n)
+    rec = tmp_path / "rec"
+    assert run("reconstruct", f"--in={sim}", f"--truth={truth}", *flags,
+               f"--out={rec}") == 0
+    with open(rec / "reconstruction.json") as fh:
+        report = json.load(fh)
+    assert report["status"] == "ok"
+    assert len(report["phases"]) == n + 1
+    assert report["fidelity"] >= 0.999
+
+
+@pytest.mark.parametrize("method", ["nodes", "piecewise"])
+def test_reconstruct_fock_cut_off_its_node_exits_5(tmp_path, capsys, method):
+    # the sign change of fock:1 falls inside a segment: no phase per
+    # segment fits the slices, and the residual says so
+    sim, _ = simulate_fock(tmp_path, 1)
+    capsys.readouterr()
+    rec = tmp_path / "rec"
+    assert run("reconstruct", f"--in={sim}", f"--method={method}",
+               "--breakpoints=0.5", f"--out={rec}") == 5
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR inconsistent-tomograms: least-squares residual")
+    with open(rec / "reconstruction.json") as fh:
+        assert json.load(fh)["status"] == "inconsistent-tomograms"
 
 
 def test_reconstruct_one_segment_contradicted_by_extra_exits_5(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -63,6 +65,33 @@ def test_batched_transform_equals_single_calls(superposition, vacuum):
     for row, values in zip(batched, stack):
         single = transform._transform_samples(values, grid, -0.3, 0.9, grid)
         assert np.array_equal(row, single)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("mu,nu", [(-0.6, 0.8), (0.999, 0.01)],
+                         ids=["oblique", "near-axis"])
+def test_transform_samples_equal_the_three_temporary_formula(
+        superposition, vacuum, rows, mu, nu):
+    # _quadrature hands _transform_samples the position samples, or near
+    # the position axis the momentum samples at (nu, -mu)
+    grid = superposition.grid
+    stack = np.stack([superposition.amplitudes, vacuum.amplitudes,
+                      superposition.amplitudes.real])[:rows]
+    with mock.patch.object(transform, "_transform_samples",
+                           wraps=transform._transform_samples) as spy:
+        transform._quadrature(stack, grid, mu, nu, grid)
+    [call] = spy.call_args_list
+    values, in_grid, a, b, out_grid = call.args
+    assert (in_grid == grid) == (abs(nu) > abs(mu))
+    kept = values.copy()
+    first = transform._transform_samples(*call.args)
+    second = transform._transform_samples(*call.args)
+    want = oracles.bluestein_reference(
+        values, transform._plan(in_grid, a, b, out_grid), out_grid.n_points)
+    assert np.array_equal(first, want)
+    assert np.array_equal(second, want)
+    assert np.array_equal(values, kept)
+    assert not np.shares_memory(first, second)
 
 
 def test_plan_arrays_are_read_only(grid):
