@@ -51,16 +51,32 @@ __all__ = [
 _WRONSKIAN_RAISE = 1e-6
 
 
+class _Preset:
+    """A named rate shape: called with a float t, or sampled at a float64
+    array of times with the same float operations elementwise."""
+
+    def __init__(self, at, sample):
+        self._at, self._sample = at, sample
+
+    def __call__(self, t):
+        return self._at(t)
+
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        # the scalar forms overflow to inf and nan without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._sample(times)
+
+
 def constant_rate(value: float) -> Callable[[float], float]:
     """Preset: t -> value."""
     value = float(value)
-    return lambda t: value
+    return _Preset(lambda t: value, lambda ts: np.full(ts.shape, value))
 
 
 def linear_ramp(start: float, slope: float) -> Callable[[float], float]:
     """Preset: t -> start + slope * t."""
     start, slope = float(start), float(slope)
-    return lambda t: start + slope * t
+    return _Preset(lambda t: start + slope * t, lambda ts: start + slope * ts)
 
 
 def cosine_modulated(base: float, depth: float, rate: float) -> Callable[[float], float]:
@@ -73,7 +89,15 @@ def cosine_modulated(base: float, depth: float, rate: float) -> Callable[[float]
             return base * (1.0 + depth * math.cos(rate * t))
         except ValueError:
             return math.nan
-    return at
+
+    def sample(ts):
+        # math.cos, as the scalar form uses: np.cos need not match libm
+        arg = rate * ts
+        finite = np.isfinite(arg)
+        c = np.fromiter(map(math.cos, np.where(finite, arg, 0.0).tolist()),
+                        float, arg.size)
+        return np.where(finite, base * (1.0 + depth * c), math.nan)
+    return _Preset(at, sample)
 
 
 _PRESETS = {
@@ -168,21 +192,33 @@ class OscillatorTrajectory:
                      for arr in (self.epsilon, self.epsilon_dot, self.delta))
 
 
+def _sample_rate(rate: Callable[[float], float], stages: np.ndarray,
+                 stage_t: list[float]) -> np.ndarray:
+    """A rate at every stage time: a preset in one pass over the array, any
+    other callable once per stage with a float argument."""
+    if isinstance(rate, _Preset):
+        return rate.sample(stages)
+    return np.fromiter(map(float, map(rate, stage_t)), float, len(stage_t))
+
+
 def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     """Integrate the classical pair with fixed-step RK4.
 
     The rates do not depend on the state, so every stage time (the start,
     midpoint and end of each step; a step's end is the next step's start)
-    is sampled before the first step: omega at all stages, then force,
-    each with a scalar float argument, so any scalar callable works.
-    Steps run up to the first stage with a non-finite rate, which then
-    raises InvalidArgumentError naming its time.  Only epsilon and
-    epsilon' are stepped, on Python complex scalars, and the Wronskian
-    Im(conj(epsilon) epsilon') is checked after every step: drift beyond
-    1e-6, or a Wronskian that is no longer a number, raises StepSizeError
-    naming the failing time.  delta does not feed back, so its RK4 stages
-    are rebuilt as arrays after the loop, in the loop's operation order,
-    and summed; a delta that overflows raises InvalidArgumentError.
+    is sampled before the first step, omega and then force.  A preset is
+    sampled at all stages in one pass, with the float operations of its
+    scalar form; any other callable is called once per stage with a float
+    argument, so any scalar callable works.  Steps run up to the first
+    stage with a non-finite rate.  Only epsilon and epsilon' are stepped,
+    on Python complex scalars.  After the loop the Wronskian
+    Im(conj(epsilon) epsilon') is checked at the end of every step: at the
+    first step where it drifts beyond 1e-6, or is no longer a number,
+    StepSizeError names that step's end time.  Otherwise a non-finite rate
+    raises InvalidArgumentError naming its stage time.  delta does not
+    feed back, so its RK4 stages are rebuilt as arrays after the loop, in
+    the loop's operation order, and summed; a delta that overflows raises
+    InvalidArgumentError.
     """
     ratio = spec.t_max / spec.dt
     n_full = int(round(ratio))
@@ -203,26 +239,30 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     stages[2::2] = ends
     stages[1::2] = stages[0:-1:2] + 0.5 * h
     stage_t = stages.tolist()
-    ws = [float(spec.omega(t)) for t in stage_t]
-    f = np.array([float(spec.force(t)) for t in stage_t])
+    ws = _sample_rate(spec.omega, stages, stage_t)
+    f = _sample_rate(spec.force, stages, stage_t)
     finite = np.isfinite(ws) & np.isfinite(f)
     first_bad = None if finite.all() else int(np.argmin(finite))
     n_ok = h.size if first_bad is None else max(0, (first_bad - 1) // 2)
-    # squared in Python, where an overflow is -inf and not a warning
-    v = np.array([-(w * w) for w in ws])
+    # an overflow is -inf, as in Python float arithmetic
+    with np.errstate(over="ignore"):
+        v = -(ws * ws)
 
     # The real factors are held as complex with a zero imaginary part,
     # which is what Python promotes a float factor to, so every product is
-    # the same; complex * complex just skips the float's fallback.
+    # the same; complex * complex just skips the float's fallback.  Complex
+    # arithmetic never raises on inf or nan, so the loop always runs n_ok
+    # steps and the Wronskian is checked afterwards.
     two = 2.0 + 0j
     e, ed = 1.0 + 0j, 1j
     es, eds = [e], [ed]
+    es_append, eds_append = es.append, eds.append
     vc = v.astype(complex).tolist()
-    for h1, h2, h6, v0, vm, v1, t in zip(
+    for h1, h2, h6, v0, vm, v1 in zip(
             h[:n_ok].astype(complex).tolist(),
             (0.5 * h[:n_ok]).astype(complex).tolist(),
             (h[:n_ok] / 6.0).astype(complex).tolist(),
-            vc[0::2], vc[1::2], vc[2::2], stage_t[2::2]):
+            vc[0::2], vc[1::2], vc[2::2]):
         b1 = v0 * e
         e2, ed2 = e + h2 * ed, ed + h2 * b1
         b2 = vm * e2
@@ -232,19 +272,23 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
         b4 = v1 * e4
         e = e + h6 * (ed + two * ed2 + two * ed3 + ed4)
         ed = ed + h6 * (b1 + two * b2 + two * b3 + b4)
-        w = e.real * ed.imag - e.imag * ed.real
-        if not abs(w - 1.0) <= _WRONSKIAN_RAISE:
-            raise StepSizeError(
-                f"Wronskian drifted to {w!r} at t = {t!r}; reduce dt")
-        es.append(e)
-        eds.append(ed)
+        es_append(e)
+        eds_append(ed)
+    eps, epsd = np.array(es), np.array(eds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = eps.real[1:] * epsd.imag[1:] - eps.imag[1:] * epsd.real[1:]
+        drifted = ~(np.abs(w - 1.0) <= _WRONSKIAN_RAISE)
+    if drifted.any():
+        i = int(np.argmax(drifted))
+        raise StepSizeError(
+            f"Wronskian drifted to {float(w[i])!r} at t = {stage_t[2 * i + 2]!r}; "
+            "reduce dt")
     if first_bad is not None:
         raise InvalidArgumentError(
             f"omega/force not finite at t = {stage_t[first_bad]!r}")
 
     # numpy promotes a float array factor as Python promotes a float, so
     # these are the loop's stage values, and cumsum adds in step order.
-    eps, epsd = np.array(es), np.array(eds)
     e, ed = eps[:-1], epsd[:-1]
     v0, vm, f0, fm, f1 = v[0:-1:2], v[1::2], f[0:-1:2], f[1::2], f[2::2]
     h2 = 0.5 * h

@@ -202,10 +202,12 @@ def _plan(grid: SpatialGrid, mu: float, nu: float, out_grid: SpatialGrid) -> _Pl
     y = grid.points
     pre = np.exp(1j * (mu * y ** 2 / (2.0 * nu) - n * grid.dx * out_grid.x_min / nu
                        - 0.5 * a * n ** 2))
-    # exp(i a j^2/2) at lags j = 0 .. M-1, then j = -(N-1) .. -1 wrapped
+    # exp(i a j^2/2) at lags j = 0 .. M-1, then j = -(N-1) .. -1 wrapped;
+    # a negative lag takes its absolute value's chirp
+    c = np.exp(0.5j * a * (n if n_in >= n_out else k) ** 2)
     chirp = np.zeros(1 << (n_in + n_out - 2).bit_length(), dtype=complex)
-    chirp[:n_out] = np.exp(0.5j * a * k ** 2)
-    chirp[chirp.size - n_in + 1:] = np.exp(0.5j * a * n[:0:-1] ** 2)
+    chirp[:n_out] = c[:n_out]
+    chirp[chirp.size - n_in + 1:] = c[n_in - 1:0:-1]
     ker = np.fft.fft(chirp)
     post = (np.exp(-1j * (0.5 * a * k ** 2 + out_grid.points * grid.x_min / nu))
             * (grid.dx / np.sqrt(2.0 * np.pi * abs(nu))))

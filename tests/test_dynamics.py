@@ -216,6 +216,64 @@ def test_time_dependent_rates_match_rk4_oracle(omega, force, dt, n_steps, tail):
     assert 0.0 < traj.times[-1] - traj.times[-2] < dt
 
 
+def test_plain_callables_match_rk4_oracle_bit_for_bit():
+    # callables that are not presets are called once per stage time
+    assert_matches_rk4_oracle(OscillatorSpec(
+        lambda t: 0.8 + 0.3 * np.sin(t), lambda t: 0.2 * t, 1.0005, 1e-3))
+
+
+def stage_times(t_max, dt):
+    """The stage times at which solve_epsilon_delta samples the rates."""
+    seen = []
+
+    def force(t):
+        seen.append(t)
+        return 0.0
+    dynamics.solve_epsilon_delta(
+        OscillatorSpec(dynamics.constant_rate(0.0), force, t_max, dt))
+    return np.array(seen)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(preset=st.one_of(
+           st.builds(dynamics.constant_rate, st.floats()),
+           st.builds(dynamics.linear_ramp, st.floats(), st.floats()),
+           st.builds(dynamics.cosine_modulated, st.floats(), st.floats(),
+                     st.floats())),
+       t_max=st.floats(0.01, 5.0), dt=st.floats(1e-3, 0.1))
+@example(preset=dynamics.linear_ramp(1.0, 1e308), t_max=3.0, dt=1e-3)
+@example(preset=dynamics.cosine_modulated(1.0, 0.5, 1e308), t_max=3.0, dt=1e-3)
+def test_preset_sample_equals_scalar_calls(preset, t_max, dt):
+    assume(dt <= t_max)
+    ts = stage_times(t_max, dt)
+    got = preset.sample(ts)
+    want = np.array([preset(t) for t in ts.tolist()])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+# The steps after each failure overflow; the Wronskian is checked after them.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega, t_max, dt, error, message", [
+    (lambda t: 1.0 if t < 1.0 else 30.0, 60.0, 0.05, StepSizeError,
+     "Wronskian drifted to 1.0000778388206846 at t = 1.0000000000000002; "
+     "reduce dt"),
+    (dynamics.linear_ramp(1.0, 20.0), 60.0, 0.05, StepSizeError,
+     "Wronskian drifted to 0.9999988642462881 at t = 0.1; reduce dt"),
+    (dynamics.linear_ramp(1.0, 1e308), 3.0, 1e-3, StepSizeError,
+     "Wronskian drifted to nan at t = 0.001; reduce dt"),
+    (dynamics.cosine_modulated(1.0, 0.5, 1e308), 3.0, 1e-3,
+     InvalidArgumentError, "omega/force not finite at t = 1.7979999999999128"),
+], ids=["step-up", "steep-ramp", "ramp-overflow", "cosine-overflow"])
+def test_failure_in_mid_run_names_its_first_step(omega, t_max, dt, error,
+                                                 message):
+    spec = OscillatorSpec(omega, dynamics.constant_rate(0.0), t_max, dt)
+    with pytest.raises(error) as exc:
+        dynamics.solve_epsilon_delta(spec)
+    assert str(exc.value) == message
+
+
 def test_trajectory_rejects_wrong_start():
     t = np.array([0.0, 1.0])
     with pytest.raises(InvalidArgumentError):

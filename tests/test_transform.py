@@ -103,6 +103,27 @@ def test_plan_arrays_are_read_only(grid):
             v[0] = 0.0
 
 
+@pytest.mark.parametrize("shape", ["equal", "wider-output", "momentum-samples"])
+def test_plan_kernel_equals_the_two_exp_chirp(grid, vacuum, shape):
+    mu, nu = 0.6, 0.8
+    if shape == "equal":
+        in_grid, out_grid = grid, grid
+    elif shape == "wider-output":
+        in_grid, out_grid = grid, core.make_grid(-9.0, 11.0, 3000)
+    else:
+        # _quadrature's momentum path: 4096 wavenumbers onto the grid
+        in_grid, out_grid = transform._momentum(vacuum.amplitudes, grid, 4096)[1], grid
+        mu, nu = nu, -mu
+    n_in, n_out = in_grid.n_points, out_grid.n_points
+    a = in_grid.dx * out_grid.dx / nu
+    chirp = np.zeros(1 << (n_in + n_out - 2).bit_length(), dtype=complex)
+    chirp[:n_out] = np.exp(0.5j * a * np.arange(n_out, dtype=float) ** 2)
+    chirp[chirp.size - n_in + 1:] = np.exp(
+        0.5j * a * np.arange(n_in - 1, 0, -1, dtype=float) ** 2)
+    plan = transform._plan(in_grid, mu, nu, out_grid)
+    assert np.array_equal(plan.ker, np.fft.fft(chirp))
+
+
 def test_transform_preserves_norm(grid, superposition):
     rng = np.random.default_rng(7)
     for _ in range(5):
