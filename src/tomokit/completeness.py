@@ -48,7 +48,8 @@ def g_function(x):
 
 
 def gaussian_entropy(state: GaussianState) -> float:
-    """Von Neumann entropy of a Gaussian state from its covariance alone."""
+    """Von Neumann entropy of a Gaussian state from its covariance alone,
+    the closed form behind the completeness value; a library call."""
     arg = float(np.sqrt(state.determinant)) - 0.5
     return g_function(max(arg, 0.0))
 
@@ -76,9 +77,6 @@ class Ensemble:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "members", members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def holevo_chi(ensemble: Ensemble) -> float:
     """chi = S(sum_j w_j |psi_j><psi_j|); pure members add no entropy.
@@ -87,18 +85,12 @@ def holevo_chi(ensemble: Ensemble) -> float:
     sqrt(w_j) G_jk sqrt(w_k), with G_jk = <psi_j|psi_k> the members' Gram
     matrix (Jozsa & Schlienz 2000), so no N x N kernel is formed.
     Nothing is clamped: one member gives 0 to the roundoff of its squared
-    norm.  A member with positive weight whose squared norm is more than
-    1e-8 from 1 raises :class:`InvalidArgumentError`; an eigenvalue below
-    -1e-8 raises :class:`NumericalError`.
+    norm, which :class:`~tomokit.core.WaveFunction` holds to 1.  An
+    eigenvalue below -1e-8 raises :class:`NumericalError`.
     """
     w = ensemble.weights
     amps = np.stack([m.amplitudes for m in ensemble.members])
     gram = np.conj(amps) @ amps.T * ensemble.members[0].grid.dx
-    # the weights sum to 1, so at least one member has positive weight
-    worst = np.abs(gram.diagonal().real - 1.0)[w > 0.0].max()
-    if worst > 1e-8:
-        raise InvalidArgumentError(
-            f"an ensemble member's squared norm is {worst:.2e} from 1, beyond 1e-8")
     root = np.sqrt(w)
     lam = np.linalg.eigvalsh(root[:, None] * gram * root[None, :])
     low = lam.min()
@@ -146,10 +138,6 @@ class MeasurementSet:
     def __len__(self) -> int:
         return len(self.slices)
 
-    @property
-    def directions(self) -> list[tuple[float, float]]:
-        return [(s.mu, s.nu) for s in self.slices]
-
 
 # Per-slice [variance] or [variance, KS distance].  A slice holds its own read-only
 # density on a frozen grid, so these never change; a weak key drops them with it.
@@ -190,21 +178,9 @@ class CovarianceEstimate:
     sigma_pp: float | None
     residual: float
 
-    @property
-    def absent(self) -> tuple[str, ...]:
-        return tuple(n for n in _COMPONENTS if getattr(self, n) is None)
-
     def present(self) -> dict:
         return {n: getattr(self, n) for n in _COMPONENTS
                 if getattr(self, n) is not None}
-
-    def to_gaussian_state(self) -> GaussianState:
-        if self.absent:
-            raise InsufficientDataError(
-                "covariance components not determined by the measured "
-                "directions: " + ", ".join(self.absent))
-        return GaussianState(sigma_xx=self.sigma_xx, sigma_pp=self.sigma_pp,
-                             sigma_xp=self.sigma_xp)
 
 
 def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
@@ -215,12 +191,23 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
     against the Gaussian its own variance predicts, limit 0.01).  With
     more slices than the rank of the direction system the fit must close
     to within 1e-3, and components outside the measured span come back
-    None rather than as a min-norm guess.
+    None rather than as a min-norm guess.  A direction whose row
+    (mu^2, 2 mu nu, nu^2) overflows raises InvalidArgumentError.
     """
     if len(mset) == 0:
         raise InvalidArgumentError("empty measurement set")
-    rows = np.array([[s.mu ** 2, 2.0 * s.mu * s.nu, s.nu ** 2]
-                     for s in mset.slices])
+    rows = []
+    for s in mset.slices:
+        try:
+            row = [s.mu ** 2, 2.0 * s.mu * s.nu, s.nu ** 2]
+        except OverflowError:  # mu ** 2 or nu ** 2
+            row = [math.inf]
+        if not all(map(math.isfinite, row)):
+            raise InvalidArgumentError(
+                f"direction ({s.mu!r}, {s.nu!r}) overflows the variance "
+                "system; use a shorter direction")
+        rows.append(row)
+    rows = np.array(rows)
     v = np.empty(len(mset))
     for i, s in enumerate(mset.slices):
         v[i] = slice_variance(s)
@@ -268,10 +255,6 @@ class CompletenessReport:
                 and self.value != 0.0):
             raise InvalidArgumentError(
                 "three or more directions under purity must report zero")
-
-    @property
-    def unbounded(self) -> bool:
-        return self.value is None
 
     def payload(self) -> dict:
         cov = {} if self.covariances is None else self.covariances.present()

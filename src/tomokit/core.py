@@ -30,6 +30,9 @@ __all__ = [
 # Highest Fock index the recurrence is validated for.
 FOCK_N_MAX = 20
 
+# Smallest normal float: a squared norm below it has lost digits.
+_TINY = np.finfo(float).tiny
+
 # Relative boundary amplitude above which a sampled state is flagged as
 # leaking out of its grid.
 _BOUNDARY_LEAK_REL = 1e-8
@@ -104,14 +107,13 @@ class WaveFunction:
     amplitudes : array_like of complex, matching ``grid.n_points``
     normalize : bool
         Rescale to unit norm (default).  When False the input must already
-        be normalized to within ``norm_tol``.
-    norm_tol : float or None
-        Tolerance on ``|sum |psi|^2 dx - 1|`` when ``normalize`` is False.
-        ``None`` skips the check (reserved for callers that validated it).
+        be normalized to within 1e-9.
+
+    The sum of |psi|^2, with and without dx, must be a normal float: one
+    that overflows or is subnormal has lost the digits normalizing needs.
     """
 
-    def __init__(self, grid: SpatialGrid, amplitudes, normalize: bool = True,
-                 norm_tol: float | None = 1e-9):
+    def __init__(self, grid: SpatialGrid, amplitudes, normalize: bool = True):
         if not isinstance(grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
         amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -120,12 +122,15 @@ class WaveFunction:
                 f"amplitudes must have shape ({grid.n_points},), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InvalidArgumentError("amplitudes must be finite")
-        nrm2 = float(np.sum(np.abs(amps) ** 2) * grid.dx)
-        if nrm2 <= 0.0:
-            raise InvalidArgumentError("amplitudes have zero norm")
+        with np.errstate(over="ignore"):
+            squares = float(np.sum(np.abs(amps) ** 2))
+        nrm2 = squares * grid.dx
+        if not (_TINY <= squares and _TINY <= nrm2 < np.inf):
+            raise InvalidArgumentError(
+                f"amplitudes have squared norm {nrm2!r}, not a normal float")
         if normalize:
             amps = amps / np.sqrt(nrm2)
-        elif norm_tol is not None and abs(nrm2 - 1.0) > norm_tol:
+        elif abs(nrm2 - 1.0) > 1e-9:
             raise InvalidArgumentError(
                 f"amplitudes not normalized: sum |psi|^2 dx = {nrm2!r}")
         else:
@@ -145,9 +150,6 @@ class WaveFunction:
     def density(self) -> np.ndarray:
         """Position density |psi(x_k)|^2."""
         return np.abs(self._amps) ** 2
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self._amps) ** 2) * self._grid.dx))
 
     def inner(self, other: "WaveFunction") -> complex:
         """<self|other> with the dx weight."""

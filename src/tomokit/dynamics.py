@@ -43,7 +43,6 @@ __all__ = [
     "harmonic_position_history",
     "initial_tomogram_from_position_history",
     "solve_epsilon_delta",
-    "evolve_distribution",
     "initial_tomogram_from_oscillator",
 ]
 
@@ -363,6 +362,8 @@ def harmonic_position_history(psi0: WaveFunction, times,
     state leaves the grid.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise InvalidArgumentError("history times must be a finite 1D sequence")
     if not np.isfinite(omega):
         raise InvalidArgumentError("omega must be finite")
     if times.size and not times[0] >= 0:
@@ -403,37 +404,14 @@ def initial_tomogram_from_position_history(history: PositionHistory, mu: float,
     """Initial-state tomogram at (mu, nu) read off free-flight position data.
 
     Free flight reaches the direction (mu, nu) at time t* = nu/mu through
-    density(X) = rho(t*, X/mu) / |mu|, so the history must hold t*.
+    density(X) = rho(t*, X/mu) / |mu|, so the history must hold t*.  A
+    library call: ``evolve`` recovers through the oscillator pair instead.
     """
     mu, nu = _direction(mu, nu)
     if mu == 0.0:
         raise InvalidArgumentError(
             "mu = 0 is not reachable from free-flight position data")
     return _recorded(history, nu / mu, mu, nu, mu, 0.0)
-
-
-def evolve_distribution(initial: Callable[[float, float, float], float],
-                        traj: OscillatorTrajectory, t: float, X: float,
-                        mu: float, nu: float) -> float:
-    """Cumulative quadrature distribution at time t from the initial one.
-
-    ``initial(X, mu, nu)`` must return the t = 0 cumulative distribution.
-    The value at time t follows by substituting the transported argument
-    and direction:
-
-        X  -> X + sqrt(2) Re((mu eps + nu eps') conj(delta))
-        mu -> mu Re eps + nu Re eps'
-        nu -> mu Im eps + nu Im eps'
-    """
-    mu, nu = _direction(mu, nu)
-    eps, epsd, delta = traj.at(t)
-    mu_t = mu * eps.real + nu * epsd.real
-    nu_t = mu * eps.imag + nu * epsd.imag
-    if np.hypot(mu_t, nu_t) < 1e-12:
-        raise DegenerateDirectionError(
-            f"transported direction collapsed at t = {t!r}")
-    shift = np.sqrt(2.0) * ((mu * eps + nu * epsd) * np.conj(delta)).real
-    return float(initial(float(X) + shift, mu_t, nu_t))
 
 
 def initial_tomogram_from_oscillator(history: PositionHistory,

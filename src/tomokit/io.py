@@ -119,6 +119,7 @@ def read_slice_csv(path) -> TomogramSlice:
 
 
 def write_wavefunction_csv(path, psi: WaveFunction) -> None:
+    """The format read_wavefunction_csv reads; a library call."""
     lines = ["x,real,imag"]
     lines.extend(f"{float(x)!r},{float(a.real)!r},{float(a.imag)!r}"
                  for x, a in zip(psi.grid.points, psi.amplitudes))

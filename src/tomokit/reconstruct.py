@@ -39,12 +39,15 @@ __all__ = [
     "detect_nodes",
     "recover_phases_nodes",
     "recover_phases_piecewise",
-    "quasi_uniform_directions",
 ]
 
 # Density below this is treated as an exact zero when magnitudes are read
 # off measured position data.
 _DENSITY_CLAMP = 1e-14
+
+# Fraction of the peak density below which a dip between populated regions
+# is a node.
+_NODE_DIP_REL = 1e-3
 
 # Least-squares diagnostics: condition estimate above which the result is
 # flagged, and residual above which the slices cannot come from one state.
@@ -161,17 +164,15 @@ def _require_position(s: TomogramSlice) -> None:
             f"expected a position tomogram (1, 0), got ({s.mu!r}, {s.nu!r})")
 
 
-def detect_nodes(position: TomogramSlice, rel_threshold: float = 1e-3) -> np.ndarray:
-    """Locate density dips below rel_threshold * max between populated regions.
+def detect_nodes(position: TomogramSlice) -> np.ndarray:
+    """Locate density dips below 1e-3 of the peak between populated regions.
 
     Returns the X of the deepest sample in each dip, sorted.  Tails at the
     grid edges are not nodes.
     """
     _require_position(position)
-    if not (0.0 < rel_threshold < 1.0):
-        raise InvalidArgumentError("rel_threshold must be in (0, 1)")
     d = position.density
-    above = d >= rel_threshold * d.max()
+    above = d >= _NODE_DIP_REL * d.max()
     idx = np.nonzero(above)[0]
     x = position.grid.points
     nodes = []
@@ -342,23 +343,3 @@ def recover_phases_piecewise(fragmentation, position: TomogramSlice,
     k = bp.size + 1
     return _recover(position, slices, bp, k,
                     f"{k} segments need at least {k} slices", project=True)
-
-
-def quasi_uniform_directions(n: int, r: float = 1.0,
-                             margin: float = 0.05) -> list[tuple[float, float]]:
-    """n directions r*(cos theta, sin theta) with theta quasi-uniform in
-    (0, pi), nudged away from pi/2 by ``margin`` in (0, pi/2) to avoid the
-    degenerate pure-momentum angle."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidArgumentError("n must be a positive integer")
-    if not 0.0 < r < np.inf:
-        raise InvalidArgumentError("r must be positive and finite")
-    if not 0.0 < margin < np.pi / 2:
-        raise InvalidArgumentError("margin must lie in (0, pi/2)")
-    out = []
-    for i in range(n):
-        theta = np.pi * (2 * i + 1) / (2 * n)
-        if abs(theta - np.pi / 2) < margin:
-            theta = np.pi / 2 + (margin if theta >= np.pi / 2 else -margin)
-        out.append((r * np.cos(theta), r * np.sin(theta)))
-    return out

@@ -34,7 +34,6 @@ from .errors import InvalidArgumentError, InvalidCovarianceError, ResolutionErro
 __all__ = [
     "TomogramSlice",
     "GaussianState",
-    "fractional_transform",
     "tomogram",
     "tomogram_gaussian",
     "sample_pure_gaussian",
@@ -304,26 +303,6 @@ def _check_norm(out: np.ndarray, density: np.ndarray, grid: SpatialGrid) -> None
     raise ResolutionError(f"transform norm {nrm!r} off 1 beyond 1e-8; {advice}")
 
 
-def fractional_transform(psi: WaveFunction, mu: float, nu: float) -> WaveFunction:
-    """Apply the quadrature transform, returning the transformed state.
-
-    The output lives on the input grid and carries the kernel's phase
-    exp(-i X^2/(2 mu nu)), which cannot be sampled near the position axis
-    (nu = 0 included); a ResolutionError there points at :func:`tomogram`.
-    A discrete norm off 1 by more than 1e-8 raises ResolutionError too.
-    """
-    mu, nu = _direction(mu, nu)
-    grid = psi.grid
-    rate = _kernel_rate(psi.amplitudes, grid, mu, nu, grid)
-    if not rate <= np.pi / grid.dx:
-        why = (_undersampled(grid, mu, nu, rate) if nu else
-               f"the transform at (mu={mu!r}, nu=0.0) is singular")
-        raise ResolutionError(f"{why}; tomogram() computes this direction's density")
-    out = _transform_samples(psi.amplitudes, grid, mu, nu, grid)
-    _check_norm(out, np.abs(out) ** 2, grid)
-    return WaveFunction(grid, out, normalize=False, norm_tol=None)
-
-
 def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
     """Tomographic density of mu*x + nu*p for a pure state: |psi|^2 at
     (1, 0), elsewhere |F psi|^2 with the norm of F psi checked to 1e-8."""
@@ -340,10 +319,15 @@ def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
 def tomogram_gaussian(state: GaussianState, mu: float, nu: float,
                       grid: SpatialGrid) -> TomogramSlice:
     """Closed-form Gaussian tomogram with variance
-    v = sigma_xx mu^2 + 2 sigma_xp mu nu + sigma_pp nu^2."""
+    v = sigma_xx mu^2 + 2 sigma_xp mu nu + sigma_pp nu^2.  A v that
+    overflows leaves no density on the grid: ResolutionError."""
     mu, nu = _direction(mu, nu)
-    v = (state.sigma_xx * mu ** 2 + 2.0 * state.sigma_xp * mu * nu
-         + state.sigma_pp * nu ** 2)
+    try:
+        v = (state.sigma_xx * mu ** 2 + 2.0 * state.sigma_xp * mu * nu
+             + state.sigma_pp * nu ** 2)
+    except OverflowError:
+        raise ResolutionError(
+            f"quadrature variance at ({mu!r}, {nu!r}) overflows") from None
     if v <= 0.0:
         raise InvalidCovarianceError(
             f"quadrature variance {v!r} not positive at ({mu!r}, {nu!r})")

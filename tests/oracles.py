@@ -123,3 +123,20 @@ def rk4_epsilon_delta(omega, force, t_max, dt):
     times[-1] = t_max
     ys = np.array(ys)
     return np.array(times), ys[:, 0], ys[:, 1], ys[:, 2]
+
+
+def transported_distribution(initial, state, X, mu, nu):
+    """Cumulative quadrature distribution at time t from the initial one.
+
+    ``initial(X, mu, nu)`` is the t = 0 distribution and ``state`` the
+    trajectory's (eps, eps', delta) at t.  The argument and direction are
+    transported along the characteristics:
+
+        X  -> X + sqrt(2) Re((mu eps + nu eps') conj(delta))
+        mu -> mu Re eps + nu Re eps'
+        nu -> mu Im eps + nu Im eps'
+    """
+    eps, epsd, delta = state
+    shift = np.sqrt(2.0) * ((mu * eps + nu * epsd) * np.conj(delta)).real
+    return float(initial(X + shift, mu * eps.real + nu * epsd.real,
+                         mu * eps.imag + nu * epsd.imag))

@@ -373,6 +373,23 @@ def test_measure_three_directions_without_purity_exits_2(tmp_path, capsys):
     assert "ERROR unsupported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["# mu=1e155 nu=0.0",      # mu ** 2 overflows
+                                    "# mu=1e154 nu=1e154"])  # 2 mu nu overflows
+def test_measure_overflowing_direction_exits_2(tmp_path, capsys, header):
+    sim, out = tmp_path / "sim", tmp_path / "meas"
+    assert simulate_vacuum(sim, (1.0, 0.0)) == 0
+    path = sim / "slice_000.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert run("measure", f"--in={sim}", f"--out={out}") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    mu, nu = header[2:].replace("mu=", "").replace("nu=", "").split()
+    assert line.startswith("ERROR invalid-argument: ")
+    assert f"direction ({float(mu)!r}, {float(nu)!r})" in line
+    assert not out.exists()
+
+
 def test_measure_empty_directory_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -522,13 +539,20 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
       "--direction=1,0"], "invalid-argument", 2),
     (["simulate", "--state=gaussian:0,0,1e-5", "--grid=-12,12,256",
       "--direction=1,0"], "invalid-argument", 2),
+    (["simulate", "--state={huge}", "--direction=1,0"], "invalid-argument", 2),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
     assert simulate_vacuum(pos, (1.0, 0.0)) == 0
     empty.mkdir()
+    # a vacuum scaled by 1e200, whose squared norm overflows
+    huge = tmp_path / "huge.csv"
+    x = core.make_grid(-12.0, 12.0, 256).points
+    huge.write_text("x,real,imag\n" + "".join(
+        f"{float(xi)!r},{1e200 * float(np.exp(-xi * xi / 2.0))!r},0.0\n"
+        for xi in x))
     capsys.readouterr()
-    argv = [a.format(pos=pos, empty=empty) for a in argv]
+    argv = [a.format(pos=pos, empty=empty, huge=huge) for a in argv]
     assert run(*argv, f"--out={out}") == status
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"ERROR {code}: ")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.interpolate import InterpolatedUnivariateSpline
 
 from tomokit import core
@@ -38,7 +42,8 @@ def test_make_grid_rejects_bad_arguments(args):
 
 def test_wavefunction_normalizes(grid):
     psi = core.WaveFunction(grid, np.exp(-grid.points ** 2))
-    assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    nrm = np.sqrt(np.sum(np.abs(psi.amplitudes) ** 2) * grid.dx)
+    assert nrm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wavefunction_verify_mode_rejects_unnormalized(grid):
@@ -54,6 +59,30 @@ def test_wavefunction_amplitudes_read_only(vacuum):
 def test_wavefunction_zero_amplitudes_rejected(grid):
     with pytest.raises(InvalidArgumentError):
         core.WaveFunction(grid, np.zeros(grid.n_points))
+
+
+# a Gaussian on 64 samples at the default grid's spacing
+_BUMP = np.exp(-0.5 * ((np.arange(64) - 32.0) / 6.0) ** 2).astype(complex)
+_DEFAULT_DX = 24.0 / 2047
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       shape=arrays(complex, 64, elements=st.complex_numbers(
+           max_magnitude=1.0, allow_nan=False, allow_infinity=False)),
+       dx=st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e))
+@example(scale=1e200, shape=_BUMP, dx=_DEFAULT_DX)   # the squares overflow
+@example(scale=1e-161, shape=_BUMP, dx=_DEFAULT_DX)  # the squares are subnormal
+def test_wavefunction_has_unit_norm_or_is_rejected(scale, shape, dx):
+    grid = core.SpatialGrid(0.0, dx, 64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = scale * shape
+    try:
+        psi = core.WaveFunction(grid, amps)
+    except InvalidArgumentError:
+        return
+    nrm2 = math.fsum((np.abs(psi.amplitudes) ** 2).tolist()) * dx
+    assert abs(nrm2 - 1.0) <= 1e-9
 
 
 def test_inner_product_conjugate_symmetry(grid):

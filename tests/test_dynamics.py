@@ -104,9 +104,6 @@ def test_non_finite_times_raise(vacuum):
         traj.at(np.nan)
     with pytest.raises(OutOfRangeError):
         hist.density_at(np.nan)
-    with pytest.raises(OutOfRangeError):
-        dynamics.evolve_distribution(lambda X, m, n: 0.5, traj, np.nan, 0.0,
-                                     1.0, 0.0)
 
 
 def test_coarse_step_raises():
@@ -381,6 +378,13 @@ def test_position_history_reads_recorded_times(vacuum):
             hist.density_at(bad)
 
 
+@pytest.mark.parametrize("times", [0.5, [[0.1, 0.2]], [[0.1], [0.2]],
+                                   [0.0, np.inf], [0.0, np.nan]])
+def test_harmonic_history_needs_finite_1d_times(vacuum, times):
+    with pytest.raises(InvalidArgumentError, match="finite 1D"):
+        dynamics.harmonic_position_history(vacuum, times)
+
+
 def test_free_history_recovers_initial_tomogram(vacuum):
     hist = dynamics.harmonic_position_history(vacuum, [0.5], 0.0)
     for mu, nu in [(1.0, 0.5), (2.0, 1.0)]:
@@ -474,7 +478,7 @@ def test_evolve_distribution_free_flight(grid, vacuum):
     later = transform.tomogram(core.WaveFunction(grid, flown), mu, nu)
     cdf_t = cumulative_trapezoid(later.density, grid.points, initial=0.0)
     for X in (-1.0, 0.0, 0.7, 2.0):
-        got = dynamics.evolve_distribution(initial, traj, t, X, mu, nu)
+        got = oracles.transported_distribution(initial, traj.at(t), X, mu, nu)
         assert abs(got - float(np.interp(X, grid.points, cdf_t))) < 1e-8
 
 
@@ -485,14 +489,3 @@ def test_vanishing_epsilon_raises_degenerate_direction(vacuum):
     hist = PositionHistory([2.0], [transform.tomogram(vacuum, 1.0, 0.0)])
     with pytest.raises(DegenerateDirectionError, match="epsilon vanished"):
         dynamics.initial_tomogram_from_oscillator(hist, traj, 2.0)
-    # there (mu, nu) = (1, 0) is carried to mu eps + nu eps' = 0
-    with pytest.raises(DegenerateDirectionError, match="direction collapsed"):
-        dynamics.evolve_distribution(lambda X, m, n: 0.5, traj, 2.0, 0.0,
-                                     1.0, 0.0)
-
-
-def test_evolve_distribution_rejects_null_direction(vacuum):
-    traj = dynamics.solve_epsilon_delta(make_spec())
-    with pytest.raises(InvalidArgumentError):
-        dynamics.evolve_distribution(lambda X, m, n: 0.0, traj, 1.0, 0.0,
-                                     0.0, 0.0)

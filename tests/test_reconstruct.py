@@ -1,4 +1,6 @@
 import gc
+import pathlib
+import re
 import weakref
 from unittest import mock
 
@@ -28,7 +30,9 @@ def two_bump(grid, phi, height=0.8, width2=0.15):
 
 @pytest.fixture(scope="module")
 def directions():
-    return reconstruct.quasi_uniform_directions(3)
+    # three angles in (0, pi), the middle one nudged off the momentum axis
+    return [(np.cos(t), np.sin(t))
+            for t in (np.pi / 6, np.pi / 2 + 0.05, np.pi * 5 / 6)]
 
 
 def slices_for(psi, directions):
@@ -146,9 +150,6 @@ def test_detect_nodes_validates_input(grid, vacuum):
     momentum = transform.tomogram(vacuum, 0.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         reconstruct.detect_nodes(momentum)
-    pos = transform.tomogram(vacuum, 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        reconstruct.detect_nodes(pos, rel_threshold=1.5)
 
 
 # ---------------------------------------------------------------- transforms
@@ -449,7 +450,8 @@ def test_cut_shape_is_part_of_the_key(grid):
     # a 0-d cut has the bytes of a 1-d one but is not a fitted fragmentation
     psi = two_bump(grid, 1.0)
     pos = transform.tomogram(psi, 1.0, 0.0)
-    extras = slices_for(psi, reconstruct.quasi_uniform_directions(2))
+    extras = slices_for(psi, [(np.cos(t), np.sin(t))
+                              for t in (np.pi / 4, np.pi * 3 / 4)])
     reconstruct.recover_phases_piecewise([0.0], pos, extras)
     with mock.patch.object(reconstruct, "_fit", wraps=reconstruct._fit) as fit:
         with pytest.raises(InvalidArgumentError, match="1D"):
@@ -495,27 +497,12 @@ def test_kept_fit_is_read_only(grid, directions):
                      first.condition_estimate, first.status)))
 
 
-# ---------------------------------------------------------------- directions
+# ---------------------------------------------------------------- README
 
 
-def test_quasi_uniform_directions_layout():
-    dirs = reconstruct.quasi_uniform_directions(6, r=1.25)
-    assert len(dirs) == 6
-    for mu, nu in dirs:
-        assert np.hypot(mu, nu) == pytest.approx(1.25)
-        assert nu > 0.0
-        assert abs(np.arctan2(nu, mu) - np.pi / 2) >= 0.05 - 1e-12
-
-
-def test_quasi_uniform_directions_validate():
-    with pytest.raises(InvalidArgumentError):
-        reconstruct.quasi_uniform_directions(0)
-    for r in (-1.0, 0.0, np.nan, np.inf):
-        with pytest.raises(InvalidArgumentError):
-            reconstruct.quasi_uniform_directions(4, r=r)
-    # each of these returned a direction on an axis or with nu < 0
-    for n, margin in ((3, np.nan), (3, -0.1), (3, 0.0), (2, 2.0), (2, np.pi / 2)):
-        with pytest.raises(InvalidArgumentError, match="margin"):
-            reconstruct.quasi_uniform_directions(n, margin=margin)
-    for mu, nu in reconstruct.quasi_uniform_directions(2, margin=1.5):
-        assert nu > 0.0
+def test_readme_example_recovers_its_phases():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    assert np.max(np.abs(scope["result"].phases - [0.0, 2.5])) <= 1e-3

@@ -1,10 +1,11 @@
+import inspect
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tomokit import core, dynamics, reconstruct, transform
+from tomokit import completeness, core, dynamics, io, reconstruct, transform
 from tomokit.errors import (
     InvalidArgumentError,
     InvalidCovarianceError,
@@ -28,11 +29,13 @@ def superposition(grid):
 @pytest.mark.parametrize("mu,nu", [(0.7, 0.7), (1.0, 0.3), (0.0, 1.0),
                                    (-0.5, 1.2)])
 def test_transform_matches_direct_quadrature(superposition, mu, nu):
-    got = transform.fractional_transform(superposition, mu, nu)
+    grid = superposition.grid
+    got = transform._transform_samples(superposition.amplitudes, grid, mu, nu,
+                                       grid)
     want = oracles.direct_transform(superposition.amplitudes,
                                     superposition.grid.points, mu, nu,
                                     superposition.grid.points)
-    assert np.max(np.abs(got.amplitudes - want)) < 1e-9
+    assert np.max(np.abs(got - want)) < 1e-9
 
 
 @pytest.mark.parametrize("mu,nu", [(0.7, 0.7), (-0.5, 1.2)])
@@ -129,33 +132,23 @@ def test_transform_preserves_norm(grid, superposition):
     for _ in range(5):
         theta = rng.uniform(0.2, np.pi - 0.2)
         r = rng.uniform(0.5, 1.3)
-        out = transform.fractional_transform(superposition,
-                                             r * np.cos(theta),
-                                             r * np.sin(theta))
-        assert abs(out.norm() - 1.0) < 1e-8
+        s = transform.tomogram(superposition, r * np.cos(theta),
+                               r * np.sin(theta))
+        assert abs(np.sqrt(np.sum(s.density) * grid.dx) - 1.0) < 1e-8
 
 
 def test_double_fourier_is_parity(vacuum, grid):
     """Applying the (0, 1) transform twice flips the argument."""
     psi = core.WaveFunction(
         grid, vacuum.amplitudes * np.exp(1j * 0.8 * grid.points))
-    once = transform.fractional_transform(psi, 0.0, 1.0)
-    twice = transform.fractional_transform(once, 0.0, 1.0)
+    once = transform._transform_samples(psi.amplitudes, grid, 0.0, 1.0, grid)
+    twice = transform._transform_samples(once, grid, 0.0, 1.0, grid)
     mirrored = psi.amplitudes[::-1]
     # Global phase is not fixed by the kernel; compare up to it.
     k = np.argmax(np.abs(mirrored))
-    phase = mirrored[k] / twice.amplitudes[k]
+    phase = mirrored[k] / twice[k]
     assert abs(abs(phase) - 1.0) < 1e-8
-    assert np.max(np.abs(twice.amplitudes * phase - mirrored)) < 1e-7
-
-
-@pytest.mark.parametrize("nu", [0.0, 1e-9, 0.05])
-def test_transform_refuses_near_axis(vacuum, nu):
-    # The amplitude carries exp(-i X^2/(2 mu nu)), which the grid cannot
-    # sample near the axis; the density is tomogram()'s job.
-    with pytest.raises(ResolutionError, match=r"tomogram\(\)") as info:
-        transform.fractional_transform(vacuum, np.sqrt(1.0 - nu ** 2), nu)
-    assert "inf" not in str(info.value)
+    assert np.max(np.abs(twice * phase - mirrored)) < 1e-7
 
 
 def test_tomogram_scaling_branch_identity(vacuum):
@@ -203,7 +196,7 @@ def test_resolution_precheck_suggests_larger_grid(vacuum):
     small = core.make_grid(-12.0, 12.0, 128)
     psi = core.sample_state(core.GaussianPreset(), small)
     with pytest.raises(ResolutionError, match="n_points"):
-        transform.fractional_transform(psi, 8.0, 0.05)
+        transform.tomogram(psi, 0.04, 0.05)
 
 
 def test_slice_rejects_negative_density(grid):
@@ -236,9 +229,25 @@ def test_slice_rejects_null_direction(grid):
         TomogramSlice(0.0, 0.0, grid, dens)
 
 
-_ENTRY_POINTS = ("TomogramSlice", "tomogram", "tomogram_gaussian",
-                 "fractional_transform", "segment_transforms",
-                 "evolve_distribution", "initial_tomogram_from_position_history")
+def _direction_entry_points() -> tuple[str, ...]:
+    """Every public callable of the library modules with both a ``mu`` and
+    a ``nu`` parameter."""
+    found = []
+    for module in (core, transform, dynamics, reconstruct, completeness, io):
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # a warning class has no signature
+                continue
+            if {"mu", "nu"} <= params.keys():
+                found.append(name)
+    return tuple(sorted(found))
+
+
+_ENTRY_POINTS = _direction_entry_points()
 
 
 @pytest.fixture(scope="module")
@@ -249,23 +258,19 @@ def direction_entry_points():
     pos = transform.tomogram(psi, 1.0, 0.0)
     pieces = reconstruct.piecewise_from_position([], pos)
     history = dynamics.PositionHistory([0.8 / 0.6], [pos])  # reaches (0.6, 0.8)
-    traj = dynamics.solve_epsilon_delta(dynamics.OscillatorSpec(
-        dynamics.constant_rate(1.0), dynamics.constant_rate(0.0), 0.1, 0.01))
-    return {
+    calls = {
         "TomogramSlice": lambda mu, nu: TomogramSlice(mu, nu, grid, pos.density),
         "tomogram": lambda mu, nu: transform.tomogram(psi, mu, nu),
         "tomogram_gaussian": lambda mu, nu: transform.tomogram_gaussian(
             GaussianState(0.5, 0.5), mu, nu, grid),
-        "fractional_transform": lambda mu, nu: transform.fractional_transform(
-            psi, mu, nu),
         "segment_transforms": lambda mu, nu: reconstruct.segment_transforms(
             pieces, grid, mu, nu),
-        "evolve_distribution": lambda mu, nu: dynamics.evolve_distribution(
-            lambda X, m, n: 0.5, traj, 0.05, 0.0, mu, nu),
         "initial_tomogram_from_position_history":
             lambda mu, nu: dynamics.initial_tomogram_from_position_history(
                 history, mu, nu),
     }
+    assert sorted(calls) == list(_ENTRY_POINTS)
+    return calls
 
 
 @pytest.mark.parametrize("direction", [(0.0, 0.0), (np.nan, 1.0), (1.0, np.inf)])
@@ -308,6 +313,16 @@ def test_gaussian_tomogram_rejects_narrow_grid():
     st = GaussianState(sigma_xx=4.0, sigma_pp=1.0)
     with pytest.raises(ResolutionError):
         transform.tomogram_gaussian(st, 1.0, 0.0, tight)
+
+
+@pytest.mark.parametrize("state, mu, nu", [
+    (GaussianState(0.5, 0.5), 1e200, 0.0),   # mu ** 2 overflows
+    (GaussianState(0.5, 0.5), 0.0, -1e200),  # nu ** 2 overflows
+    (GaussianState(1e300, 1.0), 1e5, 0.0),   # the product overflows
+])
+def test_gaussian_tomogram_overflowing_variance(grid, state, mu, nu):
+    with pytest.raises(ResolutionError):
+        transform.tomogram_gaussian(state, mu, nu, grid)
 
 
 def test_sampled_pure_gaussian_matches_closed_form(grid):
