@@ -145,10 +145,12 @@ _STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def slice_variance(s: TomogramSlice) -> float:
-    """Second moment of the slice density about zero."""
+    """Second moment of the slice density about zero; inf or nan where
+    ``x * x`` overflows."""
     if s not in _STATS:
         x = s.grid.points
-        _STATS[s] = [float(np.trapezoid(x * x * s.density, x))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _STATS[s] = [float(np.trapezoid(x * x * s.density, x))]
     return _STATS[s][0]
 
 
@@ -158,14 +160,22 @@ def _ks_distance(s: TomogramSlice, variance: float) -> float:
     Both CDFs are integrated along the grid by the same trapezoid rule, the
     model's from its exact value at the first sample, so the quadrature
     error of a few 1e-6 is common to both instead of counted as a gap.
+    The rule is linear, so the gap is one running trapezoid of
+    density / T - pdf, with T the slice's trapezoid integral; on the
+    uniform grid that is a cumulative sum less half of the first and the
+    current sample.  Arithmetic that overflows gives nan, which the
+    caller's check rejects.
     """
-    x = s.grid.points
-    emp = core._cumulative_trapezoid(s.density, x)
-    emp /= emp[-1]
-    pdf = np.exp(-x * x / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
-    start = 0.5 * (1.0 + math.erf(x[0] / np.sqrt(2.0 * variance)))
-    model = start + core._cumulative_trapezoid(pdf, x)
-    return float(np.max(np.abs(emp - model)))
+    x, dx, d = s.grid.points, s.grid.dx, s.density
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.exp(-(x * x) / (2.0 * variance))
+        g *= -1.0 / math.sqrt(2.0 * math.pi * variance)
+        g += d * (1.0 / (dx * (d.sum() - 0.5 * (d[0] + d[-1]))))
+        run = np.cumsum(g)
+        run -= 0.5 * g
+        start = 0.5 * (1.0 + math.erf(x[0] / math.sqrt(2.0 * variance)))
+        offset = start + 0.5 * dx * g[0]
+        return float(max(run.max() * dx - offset, offset - run.min() * dx))
 
 
 @dataclass(frozen=True)
@@ -191,8 +201,12 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
     against the Gaussian its own variance predicts, limit 0.01).  With
     more slices than the rank of the direction system the fit must close
     to within 1e-3, and components outside the measured span come back
-    None rather than as a min-norm guess.  A direction whose row
-    (mu^2, 2 mu nu, nu^2) overflows raises InvalidArgumentError.
+    None rather than as a min-norm guess.  One SVD of the direction rows
+    gives the rank (singular values above 1e-10 of the largest), the
+    span and the min-norm solution truncated at that rank.  A variance
+    that is not positive and finite, or a KS distance that is not at most
+    0.01 (nan included), raises ModelMismatchError.  A direction whose
+    row (mu^2, 2 mu nu, nu^2) overflows raises InvalidArgumentError.
     """
     if len(mset) == 0:
         raise InvalidArgumentError("empty measurement set")
@@ -211,19 +225,20 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
     v = np.empty(len(mset))
     for i, s in enumerate(mset.slices):
         v[i] = slice_variance(s)
-        if v[i] <= 0.0:
+        if not 0.0 < v[i] < math.inf:
             raise ModelMismatchError(
-                f"slice at ({s.mu!r}, {s.nu!r}) has nonpositive variance")
+                f"slice at ({s.mu!r}, {s.nu!r}) has nonpositive variance "
+                f"or one that overflows: {float(v[i])!r}")
         stats = _STATS[s]
         if len(stats) == 1:
             stats.append(_ks_distance(s, v[i]))
-        if stats[1] > _KS_LIMIT:
+        if not stats[1] <= _KS_LIMIT:
             raise ModelMismatchError(
                 f"slice at ({s.mu!r}, {s.nu!r}) is not a zero-mean Gaussian: "
                 f"KS distance {stats[1]:.3f} above {_KS_LIMIT}")
-    sol, _, _, _ = np.linalg.lstsq(rows, v, rcond=None)
-    _, sv, vt = np.linalg.svd(rows)
+    u, sv, vt = np.linalg.svd(rows)
     rank = int(np.sum(sv > sv[0] * 1e-10))
+    sol = vt[:rank].T @ ((u[:, :rank].T @ v) / sv[:rank])
     null = vt[rank:]
     residual = float(np.max(np.abs(rows @ sol - v) / np.maximum(1.0, np.abs(v))))
     if residual > _FIT_RESIDUAL_LIMIT:

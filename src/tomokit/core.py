@@ -75,15 +75,6 @@ class SpatialGrid:
         return x
 
 
-def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over x, starting from 0 at x[0].
-
-    The operation order is that of ``scipy.integrate.cumulative_trapezoid``
-    with ``initial=0``, so the two agree bit for bit.
-    """
-    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
-
-
 def make_grid(x_min: float, x_max: float, n_points: int) -> SpatialGrid:
     """Build the grid covering [x_min, x_max] with n_points samples."""
     if not (np.isfinite(x_min) and np.isfinite(x_max)) or x_max <= x_min:

@@ -142,9 +142,15 @@ class GaussianState:
                 raise InvalidCovarianceError("covariances must be finite")
         if self.sigma_xx <= 0 or self.sigma_pp <= 0:
             raise InvalidCovarianceError("diagonal covariances must be positive")
-        if self.determinant < 0.25 - 1e-10:
+        try:
+            det = self.determinant
+        except OverflowError:  # sigma_xp ** 2
             raise InvalidCovarianceError(
-                f"covariance determinant {self.determinant!r} violates the "
+                f"cross covariance {self.sigma_xp!r} overflows the "
+                "determinant") from None
+        if det < 0.25 - 1e-10:
+            raise InvalidCovarianceError(
+                f"covariance determinant {det!r} violates the "
                 "uncertainty bound 1/4")
 
     @property
@@ -319,15 +325,17 @@ def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
 def tomogram_gaussian(state: GaussianState, mu: float, nu: float,
                       grid: SpatialGrid) -> TomogramSlice:
     """Closed-form Gaussian tomogram with variance
-    v = sigma_xx mu^2 + 2 sigma_xp mu nu + sigma_pp nu^2.  A v that
-    overflows leaves no density on the grid: ResolutionError."""
+    v = sigma_xx mu^2 + 2 sigma_xp mu nu + sigma_pp nu^2.  A v that is
+    not finite raises ResolutionError: no grid extent holds it."""
     mu, nu = _direction(mu, nu)
     try:
         v = (state.sigma_xx * mu ** 2 + 2.0 * state.sigma_xp * mu * nu
              + state.sigma_pp * nu ** 2)
     except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
         raise ResolutionError(
-            f"quadrature variance at ({mu!r}, {nu!r}) overflows") from None
+            f"quadrature variance at ({mu!r}, {nu!r}) overflows")
     if v <= 0.0:
         raise InvalidCovarianceError(
             f"quadrature variance {v!r} not positive at ({mu!r}, {nu!r})")

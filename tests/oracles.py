@@ -5,7 +5,10 @@ library special functions, closed forms) and shares no code with the
 package internals.
 """
 
+import math
+
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import eval_hermite, gammaln
 
 
@@ -34,6 +37,18 @@ def hermite_psi(n, x):
 def gaussian_slice_density(sigma_xx, sigma_pp, sigma_xp, mu, nu, X):
     v = sigma_xx * mu ** 2 + 2.0 * sigma_xp * mu * nu + sigma_pp * nu ** 2
     return np.exp(-X ** 2 / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+
+
+def ks_distance_two_integrals(density, x, variance):
+    """Largest gap between a density's CDF and the zero-mean Gaussian CDF,
+    each a running trapezoid integral of its own: the density's normalised
+    by its last value, the model's started at its exact value at x[0]."""
+    emp = cumulative_trapezoid(density, x, initial=0.0)
+    emp /= emp[-1]
+    pdf = np.exp(-x ** 2 / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
+    start = 0.5 * (1.0 + math.erf(x[0] / math.sqrt(2.0 * variance)))
+    model = start + cumulative_trapezoid(pdf, x, initial=0.0)
+    return float(np.max(np.abs(emp - model)))
 
 
 def split_step_kinetic_first(values, x, t, omega, n_steps):

@@ -540,11 +540,20 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
     (["simulate", "--state=gaussian:0,0,1e-5", "--grid=-12,12,256",
       "--direction=1,0"], "invalid-argument", 2),
     (["simulate", "--state={huge}", "--direction=1,0"], "invalid-argument", 2),
+    (["measure", "--in={wide}"], "model-mismatch", 5),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
     assert simulate_vacuum(pos, (1.0, 0.0)) == 0
     empty.mkdir()
+    # a Gaussian slice of width 1e159 on [-1e160, 1e160], whose variance
+    # overflows in x * x
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    g = core.make_grid(-1e160, 1e160, 2048)
+    d = np.exp(-0.5 * (g.points / 1e159) ** 2)
+    io.write_slice_csv(wide / "slice_000.csv",
+                       transform.TomogramSlice(1.0, 0.0, g, d / (d.sum() * g.dx)))
     # a vacuum scaled by 1e200, whose squared norm overflows
     huge = tmp_path / "huge.csv"
     x = core.make_grid(-12.0, 12.0, 256).points
@@ -552,7 +561,7 @@ def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status
         f"{float(xi)!r},{1e200 * float(np.exp(-xi * xi / 2.0))!r},0.0\n"
         for xi in x))
     capsys.readouterr()
-    argv = [a.format(pos=pos, empty=empty, huge=huge) for a in argv]
+    argv = [a.format(pos=pos, empty=empty, huge=huge, wide=wide) for a in argv]
     assert run(*argv, f"--out={out}") == status
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"ERROR {code}: ")

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tomokit import completeness, core, transform
 from tomokit.completeness import (
@@ -289,6 +289,82 @@ def test_single_spike_has_nonpositive_variance():
         warnings.simplefilter("error")
         with pytest.raises(ModelMismatchError, match="nonpositive variance"):
             completeness.covariance_from_tomograms(MeasurementSet((spike,)))
+
+
+def test_overflowing_variance_is_rejected_without_warnings():
+    # x * x overflows at the edges of this grid, so the variance is inf
+    g = core.make_grid(-1e160, 1e160, 2048)
+    density = np.exp(-0.5 * (g.points / 1e159) ** 2)
+    s = TomogramSlice(1.0, 0.0, g, density / (density.sum() * g.dx))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelMismatchError, match="overflows: inf"):
+            completeness.gaussian_completeness(MeasurementSet((s,)))
+
+
+@st.composite
+def _ks_cases(draw):
+    """A drawn grid, a Gaussian, a zero-mean scale mixture or a two-lobe
+    density on it, and a model variance within a factor 2 of its own."""
+    n = draw(st.integers(16, 4096))
+    grid = core.make_grid(-draw(st.floats(3.0, 30.0)), draw(st.floats(3.0, 30.0)), n)
+    x = grid.points
+    width = draw(st.floats(0.5, 2.0))
+    kind = draw(st.sampled_from(["gaussian", "mixed", "two-lobe"]))
+    if kind == "gaussian":
+        density = np.exp(-0.5 * (x / width) ** 2)
+    elif kind == "mixed":
+        other, p = draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 1.0))
+        density = (p * np.exp(-0.5 * (x / width) ** 2) / width
+                   + (1.0 - p) * np.exp(-0.5 * (x / other) ** 2) / other)
+    else:
+        c = draw(st.floats(0.5, 2.5))
+        density = np.exp(-0.5 * ((x - c) / width) ** 2) + np.exp(-0.5 * ((x + c) / width) ** 2)
+    s = TomogramSlice(1.0, 0.0, grid, density / (density.sum() * grid.dx))
+    return s, float(np.trapezoid(x * x * s.density, x)) * draw(st.floats(0.5, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ks_cases())
+def test_ks_distance_is_the_gap_of_two_running_integrals(case):
+    s, variance = case
+    want = oracles.ks_distance_two_integrals(s.density, s.grid.points, variance)
+    assert abs(completeness._ks_distance(s, variance) - want) <= 1e-12
+
+
+def _lstsq_fit(slices):
+    """np.linalg.lstsq's min-norm fit of the slice variances."""
+    rows = np.array([[s.mu ** 2, 2.0 * s.mu * s.nu, s.nu ** 2] for s in slices])
+    v = np.array([completeness.slice_variance(s) for s in slices])
+    return dict(zip(("sigma_xx", "sigma_xp", "sigma_pp"),
+                    np.linalg.lstsq(rows, v, rcond=None)[0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sxx=st.floats(0.4, 1.5), sxp=st.floats(-0.5, 0.5),
+       mixing=st.floats(0.0, 1.0),
+       angles=st.lists(st.floats(0.3, 1.27) | st.floats(1.87, 2.84),
+                       min_size=1, max_size=2))
+@example(sxx=1.0, sxp=0.0, mixing=0.0, angles=[0.3])
+def test_covariance_fit_matches_lstsq(grid, sxx, sxp, mixing, angles):
+    # components are compared relative to the largest one: a cross
+    # covariance of 0 is fitted as roundoff of about 1e-16
+    state = GaussianState(sigma_xx=sxx, sigma_pp=(0.25 + sxp ** 2 + mixing) / sxx,
+                          sigma_xp=sxp)
+    dirs = [(1.0, 0.0), (0.0, 1.0)] + [(np.cos(a), np.sin(a)) for a in angles]
+    assume(len(angles) == 1 or abs(np.sin(angles[1] - angles[0])) > 0.2)
+    bank = [gslice(state, mu, nu, grid) for mu, nu in dirs]
+    opposite = gslice(state, -1.0, 0.0, grid)  # the position row again: rank 1
+    for subset, names in [(bank[:1], ["sigma_xx"]),
+                          ([bank[0], opposite], ["sigma_xx"]),
+                          (bank[:2], ["sigma_xx", "sigma_pp"]),
+                          (bank, ["sigma_xx", "sigma_xp", "sigma_pp"])]:
+        want = _lstsq_fit(subset)
+        got = completeness.covariance_from_tomograms(MeasurementSet(subset)).present()
+        assert list(got) == names
+        scale = max(abs(w) for w in want.values())
+        for n in names:
+            assert abs(got[n] - want[n]) <= 1e-12 * scale
 
 
 def test_slice_statistics_do_not_keep_the_slice_alive(grid):

@@ -289,6 +289,7 @@ def test_every_entry_point_applies_one_direction_rule(direction_entry_points,
     dict(sigma_xx=1.0, sigma_pp=0.0),
     dict(sigma_xx=0.5, sigma_pp=0.4, sigma_xp=0.0),
     dict(sigma_xx=1.0, sigma_pp=1.0, sigma_xp=np.inf),
+    dict(sigma_xx=1.0, sigma_pp=1.0, sigma_xp=1e200),  # sigma_xp ** 2 overflows
 ])
 def test_gaussian_state_rejects_bad_covariances(bad):
     with pytest.raises(InvalidCovarianceError):
@@ -321,7 +322,7 @@ def test_gaussian_tomogram_rejects_narrow_grid():
     (GaussianState(1e300, 1.0), 1e5, 0.0),   # the product overflows
 ])
 def test_gaussian_tomogram_overflowing_variance(grid, state, mu, nu):
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError, match=r"quadrature variance at .* overflows"):
         transform.tomogram_gaussian(state, mu, nu, grid)
 
 
