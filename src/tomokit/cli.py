@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,55 +76,57 @@ def _nonnegative(convert, flag: str):
     return parse
 
 
-def _existing_dir(text: str) -> str:
-    if not os.path.isdir(text):
-        raise InvalidArgumentError(f"input directory {text!r} does not exist")
-    return text
-
-
-def _existing_file(text: str) -> str:
-    if not os.path.isfile(text):
-        raise InvalidArgumentError(f"truth state file {text!r} does not exist")
-    return text
-
-
-class _Rate(NamedTuple):
-    """A parsed --omega or --force preset."""
-
-    name: str
-    params: tuple[float, ...]
-    at: Callable[[float], float]
-
-
-def _parse_rate(flag: str):
-    def parse(text: str) -> _Rate:
-        from . import dynamics
-        name, _, rest = text.partition(":")
-        params = _parse_float_list(rest, flag) if rest else ()
-        return _Rate(name, params, dynamics.rate_preset(name, params))
+def _existing(exists, what: str):
+    """Parser of a path for which ``exists`` holds, named ``what``."""
+    def parse(text: str) -> str:
+        if not exists(text):
+            raise InvalidArgumentError(f"{what} {text!r} does not exist")
+        return text
     return parse
 
 
-def _resolve_state(spec: str | None, grid: core.SpatialGrid) -> core.WaveFunction:
+def _parse_rate(flag: str):
+    def parse(text: str):
+        from . import dynamics
+        name, _, rest = text.partition(":")
+        params = _parse_float_list(rest, flag) if rest else ()
+        return dynamics.rate_preset(name, params)
+    return parse
+
+
+def _resolve_state(spec: str | None,
+                   grid: core.SpatialGrid | None) -> core.WaveFunction:
+    """A preset sampled on ``grid`` (default_grid() when None), or a file
+    state on its own grid, which an explicit ``grid`` must describe."""
     if spec is None:
         raise InvalidArgumentError("this command needs --state")
     name, _, rest = spec.partition(":")
+    on = core.default_grid() if grid is None else grid
     if name == "vacuum" and not rest:
-        return core.sample_state(core.GaussianPreset(), grid)
+        return core.sample_state(core.GaussianPreset(), on)
     if name == "gaussian":
         params = _parse_float_list(rest, "--state gaussian") if rest else ()
         if len(params) != 3:
             raise InvalidArgumentError(
                 "--state gaussian wants gaussian:x0,p0,sigma")
-        return core.sample_state(core.GaussianPreset(*params), grid)
+        return core.sample_state(core.GaussianPreset(*params), on)
     if name == "fock":
         try:
             n = int(rest)
         except ValueError:
             raise InvalidArgumentError("--state fock wants fock:n") from None
-        return core.sample_state(core.FockPreset(n), grid)
+        return core.sample_state(core.FockPreset(n), on)
     if os.path.isfile(spec):
         psi = io.read_wavefunction_csv(spec)
+        g = psi.grid
+        # the same points, and ends as close as a CSV round trip keeps them
+        if grid is not None and not (grid.n_points == g.n_points and np.allclose(
+                (grid.x_min, grid.x_max), (g.x_min, g.x_max), rtol=0.0,
+                atol=io._GRID_UNIFORM_RTOL * (g.x_max - g.x_min))):
+            raise InvalidArgumentError(
+                f"--grid={grid.x_min!r},{grid.x_max!r},{grid.n_points} does not "
+                f"describe the grid {g.x_min!r},{g.x_max!r},{g.n_points} of "
+                f"state file {spec!r}")
         core._check_sampling(psi.amplitudes, f"state file {spec!r}")
         return psi
     raise InvalidArgumentError(
@@ -255,7 +256,7 @@ def _recovery_request(args: argparse.Namespace):
 
 def cmd_evolve(args: argparse.Namespace) -> None:
     from . import dynamics
-    spec = dynamics.OscillatorSpec(args.omega.at, args.force.at, args.t_max, args.dt)
+    spec = dynamics.OscillatorSpec(args.omega, args.force, args.t_max, args.dt)
     recovery = _recovery_request(args) if args.recover_at else None
     traj = dynamics.solve_epsilon_delta(spec)
     recovered = {}
@@ -297,8 +298,9 @@ def build_parser() -> _Parser:
     sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--state", required=True,
                      help="vacuum | gaussian:x0,p0,sigma | fock:n | CSV path")
-    sim.add_argument("--grid", type=_parse_grid, default=core.default_grid(),
-                     help="x_min,x_max,n_points")
+    sim.add_argument("--grid", type=_parse_grid,
+                     help="x_min,x_max,n_points (default -12,12,2048; a state "
+                          "file keeps its own)")
     sim.add_argument("--direction", type=_parse_direction, action="append",
                      default=[], metavar="MU,NU",
                      help="repeatable measurement direction")
@@ -319,13 +321,13 @@ def build_parser() -> _Parser:
                     "spacing, keeps its norm within 1e-8 on [-192, 192] but "
                     "not on [-96, 96].")
     rec.set_defaults(handler=cmd_reconstruct)
-    rec.add_argument("--in", dest="in_dir", type=_existing_dir, required=True,
-                     help="directory holding slice_*.csv")
+    rec.add_argument("--in", dest="in_dir", type=_existing(os.path.isdir, "input directory"),
+                     required=True, help="directory holding slice_*.csv")
     rec.add_argument("--breakpoints", type=_parse_breakpoints,
                      help="comma-separated cut positions")
     rec.add_argument("--method", choices=("nodes", "piecewise"),
                      default="nodes")
-    rec.add_argument("--truth", type=_existing_file,
+    rec.add_argument("--truth", type=_existing(os.path.isfile, "truth state file"),
                      help="wavefunction CSV to score fidelity against")
     rec.add_argument("--out", default=".", help="output directory")
 
@@ -342,14 +344,15 @@ def build_parser() -> _Parser:
                      type=lambda text: _parse_float_list(text, "--recover-at"),
                      help="recover the initial tomogram at these times")
     evo.add_argument("--state", help="initial state for recovery")
-    evo.add_argument("--grid", type=_parse_grid, default=core.default_grid(),
-                     help="x_min,x_max,n_points")
+    evo.add_argument("--grid", type=_parse_grid,
+                     help="x_min,x_max,n_points (default -12,12,2048; a state "
+                          "file keeps its own)")
     evo.add_argument("--out", default=".", help="output directory")
 
     mea = sub.add_parser("measure", help="report completeness of a slice set")
     mea.set_defaults(handler=cmd_measure)
-    mea.add_argument("--in", dest="in_dir", type=_existing_dir, required=True,
-                     help="directory holding slice_*.csv")
+    mea.add_argument("--in", dest="in_dir", type=_existing(os.path.isdir, "input directory"),
+                     required=True, help="directory holding slice_*.csv")
     mea.add_argument("--assume-pure", dest="assume_pure", action="store_true")
     mea.add_argument("--out", default=".", help="output directory")
     return parser

@@ -51,31 +51,31 @@ _WRONSKIAN_RAISE = 1e-6
 
 
 class _Preset:
-    """A named rate shape: called with a float t, or sampled at a float64
-    array of times with the same float operations elementwise."""
+    """A named rate shape with one float64 formula: sampled at an array of
+    times, or called with a float t, which runs the formula on a 0-d array."""
 
-    def __init__(self, at, sample):
-        self._at, self._sample = at, sample
+    def __init__(self, name: str, params: tuple[float, ...], formula):
+        self.name, self.params, self._formula = name, params, formula
 
-    def __call__(self, t):
-        return self._at(t)
+    def __call__(self, t) -> float:
+        return float(self.sample(np.asarray(t, dtype=float)))
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        # the scalar forms overflow to inf and nan without a warning
+        # overflow gives inf and nan, as in Python float arithmetic
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._sample(times)
+            return self._formula(times)
 
 
 def constant_rate(value: float) -> Callable[[float], float]:
     """Preset: t -> value."""
     value = float(value)
-    return _Preset(lambda t: value, lambda ts: np.full(ts.shape, value))
+    return _Preset("constant", (value,), lambda ts: np.full(ts.shape, value))
 
 
 def linear_ramp(start: float, slope: float) -> Callable[[float], float]:
     """Preset: t -> start + slope * t."""
     start, slope = float(start), float(slope)
-    return _Preset(lambda t: start + slope * t, lambda ts: start + slope * ts)
+    return _Preset("linear-ramp", (start, slope), lambda ts: start + slope * ts)
 
 
 def cosine_modulated(base: float, depth: float, rate: float) -> Callable[[float], float]:
@@ -83,20 +83,14 @@ def cosine_modulated(base: float, depth: float, rate: float) -> Callable[[float]
     overflows."""
     base, depth, rate = float(base), float(depth), float(rate)
 
-    def at(t):
-        try:
-            return base * (1.0 + depth * math.cos(rate * t))
-        except ValueError:
-            return math.nan
-
-    def sample(ts):
-        # math.cos, as the scalar form uses: np.cos need not match libm
+    def formula(ts):
+        # math.cos elementwise: np.cos need not match libm
         arg = rate * ts
         finite = np.isfinite(arg)
-        c = np.fromiter(map(math.cos, np.where(finite, arg, 0.0).tolist()),
-                        float, arg.size)
+        c = np.fromiter(map(math.cos, np.where(finite, arg, 0.0).ravel().tolist()),
+                        float, arg.size).reshape(arg.shape)
         return np.where(finite, base * (1.0 + depth * c), math.nan)
-    return _Preset(at, sample)
+    return _Preset("cosine-modulated", (base, depth, rate), formula)
 
 
 _PRESETS = {
@@ -148,14 +142,12 @@ class OscillatorSpec:
 
 class OscillatorTrajectory:
     """Sampled (epsilon, epsilon', delta), interpolated in t by the cubic
-    through the four samples around t."""
+    through the four samples around t; the arrays are read-only copies."""
 
     def __init__(self, times, epsilon, epsilon_dot, delta):
-        t = np.asarray(times, dtype=float)
-        eps = np.asarray(epsilon, dtype=complex)
-        epsd = np.asarray(epsilon_dot, dtype=complex)
-        dlt = np.asarray(delta, dtype=complex)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+        t = np.array(times, dtype=float)
+        eps, epsd, dlt = (np.array(a, dtype=complex) for a in (epsilon, epsilon_dot, delta))
+        if t.ndim != 1 or t.size < 2 or not np.all(t[1:] > t[:-1]):
             raise InvalidArgumentError("times must be strictly increasing, >= 2 samples")
         for arr in (eps, epsd, dlt):
             if arr.shape != t.shape:
@@ -163,6 +155,8 @@ class OscillatorTrajectory:
         if abs(eps[0] - 1.0) > 1e-12 or abs(epsd[0] - 1j) > 1e-12 or abs(dlt[0]) > 1e-12:
             raise InvalidArgumentError(
                 "trajectory must start from epsilon=1, epsilon'=i, delta=0")
+        for arr in (t, eps, epsd, dlt):
+            arr.flags.writeable = False
         self.times = t
         self.epsilon = eps
         self.epsilon_dot = epsd
@@ -205,19 +199,18 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
 
     The rates do not depend on the state, so every stage time (the start,
     midpoint and end of each step; a step's end is the next step's start)
-    is sampled before the first step, omega and then force.  A preset is
-    sampled at all stages in one pass, with the float operations of its
-    scalar form; any other callable is called once per stage with a float
-    argument, so any scalar callable works.  Steps run up to the first
-    stage with a non-finite rate.  Only epsilon and epsilon' are stepped,
-    on Python complex scalars.  After the loop the Wronskian
-    Im(conj(epsilon) epsilon') is checked at the end of every step: at the
-    first step where it drifts beyond 1e-6, or is no longer a number,
-    StepSizeError names that step's end time.  Otherwise a non-finite rate
-    raises InvalidArgumentError naming its stage time.  delta does not
-    feed back, so its RK4 stages are rebuilt as arrays after the loop, in
-    the loop's operation order, and summed; a delta that overflows raises
-    InvalidArgumentError.
+    is sampled before the first step, omega and then force.  A preset runs
+    its one formula on the array of all stages; any other callable is
+    called once per stage with a float argument, so any scalar callable
+    works.  Steps run up to the first stage with a non-finite rate.  Only
+    epsilon and epsilon' are stepped, on Python complex scalars.  After
+    the loop the Wronskian Im(conj(epsilon) epsilon') is checked at the
+    end of every step: at the first step where it drifts beyond 1e-6, or
+    is no longer a number, StepSizeError names that step's end time.
+    Otherwise a non-finite rate raises InvalidArgumentError naming its
+    stage time.  delta does not feed back, so its RK4 stages are rebuilt
+    as arrays after the loop, in the loop's operation order, and summed;
+    a delta that overflows raises InvalidArgumentError.
     """
     ratio = spec.t_max / spec.dt
     n_full = int(round(ratio))
@@ -312,14 +305,15 @@ class PositionHistory:
     """Position-density snapshots rho(t_i, x) at the recorded times.
 
     All slices must be position tomograms ((mu, nu) = (1, 0) to 1e-12) on
-    one shared grid, at strictly increasing times.
+    one shared grid, at strictly increasing times.  ``times`` is a
+    read-only copy and ``slices`` a tuple.
     """
 
     def __init__(self, times, slices: Sequence[TomogramSlice]):
-        t = np.asarray(times, dtype=float)
+        t = np.array(times, dtype=float)
         if t.ndim != 1 or t.size == 0 or t.size != len(slices):
             raise InvalidArgumentError("need one time per slice")
-        if not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise InvalidArgumentError("times must be strictly increasing")
         if not all(isinstance(s, TomogramSlice) for s in slices):
             raise InvalidArgumentError("slices must be TomogramSlice objects")
@@ -330,8 +324,9 @@ class PositionHistory:
                     f"history slice at ({s.mu!r}, {s.nu!r}) is not a position tomogram")
             if s.grid != grid:
                 raise InvalidArgumentError("history slices must share one grid")
+        t.flags.writeable = False
         self.times = t
-        self.slices = list(slices)
+        self.slices = tuple(slices)
         self._grid = grid
 
     @property

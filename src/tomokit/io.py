@@ -93,11 +93,16 @@ def _parse_rows(path, lines: list[str], n_columns: int, skip: int) -> np.ndarray
     return data
 
 
+def _write_table(path, head: list[str], *columns: np.ndarray) -> None:
+    """The header lines, then one row per sample: the repr of each float64
+    column's value, joined by commas."""
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    atomic_write_text(path, "\n".join([*head, *rows]) + "\n")
+
+
 def write_slice_csv(path, s: TomogramSlice) -> None:
-    lines = [f"# mu={float(s.mu)!r} nu={float(s.nu)!r}", "X,density"]
-    lines.extend(f"{float(x)!r},{float(d)!r}"
-                 for x, d in zip(s.grid.points, s.density))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, [f"# mu={float(s.mu)!r} nu={float(s.nu)!r}", "X,density"],
+                 s.grid.points, s.density)
 
 
 def read_slice_csv(path) -> TomogramSlice:
@@ -120,10 +125,8 @@ def read_slice_csv(path) -> TomogramSlice:
 
 def write_wavefunction_csv(path, psi: WaveFunction) -> None:
     """The format read_wavefunction_csv reads; a library call."""
-    lines = ["x,real,imag"]
-    lines.extend(f"{float(x)!r},{float(a.real)!r},{float(a.imag)!r}"
-                 for x, a in zip(psi.grid.points, psi.amplitudes))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    a = psi.amplitudes
+    _write_table(path, ["x,real,imag"], psi.grid.points, a.real, a.imag)
 
 
 def read_wavefunction_csv(path) -> WaveFunction:
@@ -136,11 +139,7 @@ def read_wavefunction_csv(path) -> WaveFunction:
 
 
 def write_trajectory_csv(path, traj: OscillatorTrajectory) -> None:
-    w = traj.wronskian()
-    lines = ["t,eps_re,eps_im,eps_dot_re,eps_dot_im,delta_re,delta_im,wronskian"]
-    for i, t in enumerate(traj.times):
-        e, ed, d = traj.epsilon[i], traj.epsilon_dot[i], traj.delta[i]
-        lines.append(",".join(repr(float(v)) for v in
-                              (t, e.real, e.imag, ed.real, ed.imag,
-                               d.real, d.imag, w[i])))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    head = "t,eps_re,eps_im,eps_dot_re,eps_dot_im,delta_re,delta_im,wronskian"
+    e, ed, d = traj.epsilon, traj.epsilon_dot, traj.delta
+    _write_table(path, [head], traj.times, e.real, e.imag, ed.real, ed.imag,
+                 d.real, d.imag, traj.wronskian())

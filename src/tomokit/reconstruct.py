@@ -71,12 +71,13 @@ class PiecewiseState:
     ``breakpoints`` are the K-1 interior cut positions (possibly none);
     segment j covers (breakpoint[j-1], breakpoint[j]] with open ends at
     +-infinity.  ``magnitude`` is one nonnegative array on ``grid``; its
-    windows to the K segments are the read-only rows of ``magnitudes``.
+    windows to the K segments are the read-only rows of ``magnitudes``,
+    and ``breakpoints`` and ``phases`` are read-only copies.
     The assembled state sum_j exp(i phi_j) m_j is normalized at construction.
     """
 
     def __init__(self, breakpoints, magnitude, phases, grid: SpatialGrid):
-        bp = np.asarray(breakpoints, dtype=float)
+        bp = np.array(breakpoints, dtype=float)
         if bp.ndim != 1:
             raise InvalidArgumentError("breakpoints must be a 1D sequence")
         if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
@@ -96,10 +97,10 @@ class PiecewiseState:
         rows = np.where(seg == np.arange(k)[:, None], mag, 0.0)
         nrm2 = sum(float(np.sum(r ** 2)) for r in rows) * grid.dx
         rows = rows * (1.0 / np.sqrt(nrm2))
-        rows.flags.writeable = False
-        self.breakpoints = bp
-        self.magnitudes = rows
+        self.breakpoints, self.magnitudes = bp, rows
         self.phases = np.mod(ph, 2.0 * np.pi)
+        for arr in (bp, rows, self.phases):
+            arr.flags.writeable = False
         self.grid = grid
 
     @property

@@ -140,6 +140,32 @@ def rk4_epsilon_delta(omega, force, t_max, dt):
     return np.array(times), ys[:, 0], ys[:, 1], ys[:, 2]
 
 
+def preset_rate(name, params):
+    """The rate preset ``name`` as a function of one float t, in Python
+    float arithmetic and ``math.cos``: nan where the cosine's argument is
+    not finite."""
+    params = [float(p) for p in params]
+    if name == "constant":
+        (value,) = params
+        return lambda t: value
+    if name == "linear-ramp":
+        start, slope = params
+        return lambda t: start + slope * t
+    base, depth, rate = params
+
+    def cosine(t):
+        arg = rate * t
+        return base * (1.0 + depth * math.cos(arg)) if math.isfinite(arg) else math.nan
+    return cosine
+
+
+def csv_text(head, *columns):
+    """A CSV table as the writers once built it: the header lines, then
+    one f-string row per sample of ``float(value)!r`` fields."""
+    rows = [",".join(f"{float(v)!r}" for v in row) for row in zip(*columns)]
+    return "\n".join(list(head) + rows) + "\n"
+
+
 def transported_distribution(initial, state, X, mu, nu):
     """Cumulative quadrature distribution at time t from the initial one.
 

@@ -492,6 +492,42 @@ def test_evolve_undersampled_state_file_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", [
+    ["simulate", "--direction=1,0"],
+    ["evolve", "--omega=constant:1", "--t-max=1", "--dt=1e-3", "--recover-at=0.5"],
+])
+@pytest.mark.parametrize("grid", ["-20,20,512", "-12,12,2049", "-12.5,12,2048"])
+def test_state_file_with_another_grid_exits_2(tmp_path, capsys, verb, grid):
+    path = tmp_path / "vac.csv"
+    io.write_wavefunction_csv(path, core.sample_state(
+        core.GaussianPreset(), core.default_grid()))
+    out = tmp_path / "out"
+    assert run(*verb, f"--state={path}", f"--grid={grid}", f"--out={out}") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR invalid-argument: ")
+    assert f"--grid={','.join(repr(float(v)) for v in grid.split(',')[:2])}" in line
+    assert "-12.0,12.0,2048 of state file" in line
+    assert not out.exists()
+
+
+@settings(max_examples=20, deadline=None)
+@given(x_min=st.floats(-25.0, -8.0), x_max=st.floats(8.0, 40.0),
+       n=st.integers(128, 512))
+# the x column read back gives x_max 1.4e-14 below the grid's
+@example(x_min=-20.450794931652528, x_max=37.0967586618, n=227)
+def test_state_file_accepts_the_grid_it_was_written_on(tmp_path_factory, x_min,
+                                                       x_max, n):
+    assume((x_max - x_min) / (n - 1) <= 0.3)
+    root = tmp_path_factory.mktemp("grid")
+    text = f"{x_min!r},{x_max!r},{n}"
+    grid = cli._parse_grid(text)
+    io.write_wavefunction_csv(root / "vac.csv",
+                              core.sample_state(core.GaussianPreset(), grid))
+    assert run("simulate", f"--state={root / 'vac.csv'}", f"--grid={text}",
+               "--direction=1,0", f"--out={root / 'out'}") == 0
+    assert io.read_slice_csv(root / "out" / "slice_000.csv").grid.n_points == n
+
+
 def test_evolve_history_failure_writes_nothing(tmp_path, capsys):
     # a squeezed state spreads past [-6, 6] under the slow oscillator
     out = tmp_path / "evo"
@@ -541,6 +577,8 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
       "--direction=1,0"], "invalid-argument", 2),
     (["simulate", "--state={huge}", "--direction=1,0"], "invalid-argument", 2),
     (["measure", "--in={wide}"], "model-mismatch", 5),
+    (["simulate", "--state={vac}", "--grid=-20,20,512", "--direction=1,0"],
+     "invalid-argument", 2),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
@@ -560,8 +598,13 @@ def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status
     huge.write_text("x,real,imag\n" + "".join(
         f"{float(xi)!r},{1e200 * float(np.exp(-xi * xi / 2.0))!r},0.0\n"
         for xi in x))
+    # a default-grid vacuum, which no other --grid describes
+    vac = tmp_path / "vac.csv"
+    io.write_wavefunction_csv(vac, core.sample_state(core.GaussianPreset(),
+                                                     core.default_grid()))
     capsys.readouterr()
-    argv = [a.format(pos=pos, empty=empty, huge=huge, wide=wide) for a in argv]
+    argv = [a.format(pos=pos, empty=empty, huge=huge, wide=wide, vac=vac)
+            for a in argv]
     assert run(*argv, f"--out={out}") == status
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"ERROR {code}: ")

@@ -31,6 +31,15 @@ def test_rate_presets_evaluate():
     assert np.isnan(dynamics.cosine_modulated(1.0, 0.2, 1e308)(2.0))
 
 
+def test_presets_carry_their_name_and_float_params():
+    for name, params in [("constant", (2,)), ("linear-ramp", (0.5, 2)),
+                         ("cosine-modulated", (1, 0.2, 3))]:
+        preset = dynamics.rate_preset(name, params)
+        assert preset.name == name
+        assert preset.params == params
+        assert all(type(p) is float for p in preset.params)
+
+
 def test_rate_preset_lookup():
     f = dynamics.rate_preset("linear-ramp", [0.5, 2.0])
     assert f(1.0) == pytest.approx(2.5)
@@ -111,9 +120,18 @@ def test_coarse_step_raises():
         dynamics.solve_epsilon_delta(make_spec(omega=5.0, t_max=4.0, dt=0.5))
 
 
+def oracle_rate(rate):
+    """A preset's formula written out in tests/oracles.py; any other
+    callable as it is."""
+    if isinstance(rate, dynamics._Preset):
+        return oracles.preset_rate(rate.name, rate.params)
+    return rate
+
+
 def assert_matches_rk4_oracle(spec):
     traj = dynamics.solve_epsilon_delta(spec)
-    want = oracles.rk4_epsilon_delta(spec.omega, spec.force, spec.t_max, spec.dt)
+    want = oracles.rk4_epsilon_delta(oracle_rate(spec.omega), oracle_rate(spec.force),
+                                     spec.t_max, spec.dt)
     got = (traj.times, traj.epsilon, traj.epsilon_dot, traj.delta)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -233,21 +251,28 @@ def stage_times(t_max, dt):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
-@given(preset=st.one_of(
-           st.builds(dynamics.constant_rate, st.floats()),
-           st.builds(dynamics.linear_ramp, st.floats(), st.floats()),
-           st.builds(dynamics.cosine_modulated, st.floats(), st.floats(),
-                     st.floats())),
+@given(rate=st.one_of(
+           st.tuples(st.just("constant"), st.tuples(st.floats())),
+           st.tuples(st.just("linear-ramp"), st.tuples(st.floats(), st.floats())),
+           st.tuples(st.just("cosine-modulated"),
+                     st.tuples(st.floats(), st.floats(), st.floats()))),
        t_max=st.floats(0.01, 5.0), dt=st.floats(1e-3, 0.1))
-@example(preset=dynamics.linear_ramp(1.0, 1e308), t_max=3.0, dt=1e-3)
-@example(preset=dynamics.cosine_modulated(1.0, 0.5, 1e308), t_max=3.0, dt=1e-3)
-def test_preset_sample_equals_scalar_calls(preset, t_max, dt):
+@example(rate=("linear-ramp", (1.0, 1e308)), t_max=3.0, dt=1e-3)
+@example(rate=("cosine-modulated", (1.0, 0.5, 1e308)), t_max=3.0, dt=1e-3)
+def test_preset_sample_equals_scalar_calls(rate, t_max, dt):
+    # the reference is the scalar formula written out in tests/oracles.py
     assume(dt <= t_max)
+    preset, scalar = dynamics.rate_preset(*rate), oracles.preset_rate(*rate)
     ts = stage_times(t_max, dt)
     got = preset.sample(ts)
-    want = np.array([preset(t) for t in ts.tolist()])
+    want = np.array([scalar(t) for t in ts.tolist()])
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(got, want, equal_nan=True)
+    # a scalar call runs the same formula on a 0-d array
+    some = ts[::max(1, ts.size // 40)].tolist()
+    calls = [preset(t) for t in some]
+    assert all(type(c) is float for c in calls)
+    assert np.array_equal(calls, [scalar(t) for t in some], equal_nan=True)
 
 
 # The steps after each failure overflow; the Wronskian is checked after them.
@@ -275,6 +300,33 @@ def test_trajectory_rejects_wrong_start():
     t = np.array([0.0, 1.0])
     with pytest.raises(InvalidArgumentError):
         dynamics.OscillatorTrajectory(t, [2.0, 1.0], [1j, 1j], [0.0, 0.0])
+
+
+def test_increasing_times_are_compared_not_subtracted(vacuum):
+    # a gap that overflows is still an increase, with no RuntimeWarning
+    # (an error here); nan is no increase
+    t = [-1e308, 1e308]
+    assert dynamics.OscillatorTrajectory(t, [1, 2], [1j, 1j], [0, 0]).times.tolist() == t
+    pos = transform.tomogram(vacuum, 1.0, 0.0)
+    assert PositionHistory(t, [pos, pos]).times.tolist() == t
+    with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+        dynamics.OscillatorTrajectory([0.0, np.nan], [1, 2], [1j, 1j], [0, 0])
+
+
+def test_trajectory_arrays_are_read_only_copies():
+    arrays = [np.array([0.0, 1.0]), np.array([1.0, 0.5j]),
+              np.array([1j, 2.0 + 0j]), np.array([0j, 0.25 + 0j])]
+    traj = dynamics.OscillatorTrajectory(*arrays)
+    for a in arrays:
+        a[1] = 7.0
+    held = (traj.times, traj.epsilon, traj.epsilon_dot, traj.delta)
+    assert [a[1] for a in held] == [1.0, 0.5j, 2.0, 0.25]
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 7.0
+    solved = dynamics.solve_epsilon_delta(make_spec(t_max=0.1))
+    assert not any(a.flags.writeable for a in (
+        solved.times, solved.epsilon, solved.epsilon_dot, solved.delta))
 
 
 # ---------------------------------------------------------------- histories
@@ -365,6 +417,19 @@ def test_position_history_validates(grid, vacuum):
         PositionHistory([0.0], [None])
     with pytest.raises(InvalidArgumentError, match="TomogramSlice"):
         PositionHistory([0.0, 1.0], [pos, None])
+
+
+def test_position_history_holds_a_read_only_copy(vacuum):
+    times = np.array([0.0, 1.0])
+    slices = [transform.tomogram(vacuum, 1.0, 0.0)] * 2
+    hist = PositionHistory(times, slices)
+    times[1] = 5.0
+    slices.pop()
+    assert hist.times.tolist() == [0.0, 1.0]
+    assert isinstance(hist.slices, tuple) and len(hist.slices) == 2
+    assert np.array_equal(hist.density_at(1.0), slices[0].density)
+    with pytest.raises(ValueError, match="read-only"):
+        hist.times[1] = 5.0
 
 
 def test_position_history_reads_recorded_times(vacuum):

@@ -5,11 +5,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tomokit import core, dynamics, io, transform
 from tomokit.errors import ParseError
 
+import oracles
 import strategies
 
 
@@ -150,3 +151,66 @@ def test_write_json_sorted_with_trailing_newline(tmp_path):
     assert text.endswith("\n")
     assert text.index('"alpha"') < text.index('"zeta"')
     assert json.loads(text) == {"zeta": 1, "alpha": {"finite": 0.5}}
+
+
+# -0.0, subnormals, the largest magnitudes and ordinary values
+_SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308])
+_SUBNORMAL = st.floats(-2.2e-308, 2.2e-308)
+_ORDINARY = st.floats(-1e3, 1e3)
+_ANY = _SPECIAL | _SUBNORMAL | _ORDINARY
+_SMALL = st.sampled_from([-0.0, 0.0, 5e-324]) | _SUBNORMAL | _ORDINARY
+
+
+@st.composite
+def _tables(draw):
+    """One of the three writers, an object for it holding drawn values,
+    and the header lines it must write."""
+    kind = draw(st.sampled_from(["slice", "wavefunction", "trajectory"]))
+    n = draw(st.integers(2, 12))
+    x_min = draw(_ANY.filter(lambda v: abs(v) <= 1e308))
+    if kind == "slice":
+        grid = core.SpatialGrid(x_min, draw(st.floats(1e-3, 10.0)), n)
+        assume(np.all(np.isfinite(grid.points)))
+        mu, nu = draw(_ANY), draw(_ANY)
+        assume(not mu == nu == 0.0)
+        # tiny entries add nothing to the unit integral of the rest
+        tiny = draw(st.lists(st.sampled_from([-0.0, 0.0, 5e-324]) | st.floats(0.0, 2.2e-308),
+                             min_size=n, max_size=n))
+        mass = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(keep.any())
+        d = np.where(keep, mass / (mass[keep].sum() * grid.dx), tiny)
+        s = transform.TomogramSlice(mu, nu, grid, d)
+        head = [f"# mu={float(s.mu)!r} nu={float(s.nu)!r}", "X,density"]
+        return io.write_slice_csv, s, head, (grid.points, s.density)
+    if kind == "wavefunction":
+        grid = core.SpatialGrid(x_min, draw(st.floats(1e-3, 10.0)), n)
+        assume(np.all(np.isfinite(grid.points)))
+        parts = np.array(draw(st.lists(_SMALL, min_size=2 * n, max_size=2 * n)))
+        assume(np.any(np.abs(parts) >= 1e-3))
+        psi = core.WaveFunction(grid, parts[:n] + 1j * parts[n:])
+        a = psi.amplitudes
+        return io.write_wavefunction_csv, psi, ["x,real,imag"], (grid.points, a.real, a.imag)
+    times = sorted(draw(st.lists(_ANY, min_size=n, max_size=n, unique=True)))
+    eps, epsd = (np.array(draw(st.lists(_SMALL, min_size=2 * n, max_size=2 * n)))
+                 for _ in range(2))
+    delta = np.array(draw(st.lists(_ANY, min_size=2 * n, max_size=2 * n)))
+    eps, epsd, delta = eps[:n] + 1j * eps[n:], epsd[:n] + 1j * epsd[n:], delta[:n] + 1j * delta[n:]
+    eps[0], epsd[0], delta[0] = 1.0, 1j, complex(-0.0, 0.0)
+    traj = dynamics.OscillatorTrajectory(times, eps, epsd, delta)
+    head = ["t,eps_re,eps_im,eps_dot_re,eps_dot_im,delta_re,delta_im,wronskian"]
+    columns = (traj.times, traj.epsilon.real, traj.epsilon.imag, traj.epsilon_dot.real,
+               traj.epsilon_dot.imag, traj.delta.real, traj.delta.imag, traj.wronskian())
+    return io.write_trajectory_csv, traj, head, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_writers_match_the_row_formatter_oracle(table):
+    write, obj, head, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write(path, obj)
+        with open(path, "rb") as fh:
+            got = fh.read()
+    assert got == oracles.csv_text(head, *columns).encode()

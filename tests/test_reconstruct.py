@@ -60,6 +60,20 @@ def test_piecewise_state_wraps_phases(grid):
     assert st.phases[1] == pytest.approx(np.pi)
 
 
+def test_piecewise_state_holds_read_only_copies(grid):
+    pos = transform.tomogram(two_bump(grid, 0.7), 1.0, 0.0)
+    bp, phases = np.array([0.5]), np.array([0.0, 1.0])
+    st = reconstruct.piecewise_from_position(bp, pos, phases)
+    bp[0], phases[1] = -3.0, 99.0
+    assert st.breakpoints.tolist() == [0.5]
+    assert st.phases.tolist() == [0.0, 1.0]
+    cut = grid.points > 0.5
+    assert np.all(st.magnitudes[0][cut] == 0.0)
+    for a in (st.breakpoints, st.phases):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 99.0
+
+
 def test_piecewise_state_rejects_wrong_counts(grid):
     m = np.exp(-grid.points ** 2)
     for phases in ([0.0], [0.0, 0.0, 0.0]):
