@@ -186,7 +186,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 def _load_slices(directory: str) -> list[transform.TomogramSlice]:
     names = sorted(n for n in os.listdir(directory)
-                   if n.startswith("slice") and n.endswith(".csv"))
+                   if n.startswith("slice_") and n.endswith(".csv"))
     return [io.read_slice_csv(os.path.join(directory, n)) for n in names]
 
 
@@ -257,6 +257,8 @@ def _recovery_request(args: argparse.Namespace):
 def cmd_evolve(args: argparse.Namespace) -> None:
     from . import dynamics
     spec = dynamics.OscillatorSpec(args.omega, args.force, args.t_max, args.dt)
+    if not args.recover_at and (args.state, args.grid) != (None, None):
+        raise InvalidArgumentError("--state and --grid only serve --recover-at")
     recovery = _recovery_request(args) if args.recover_at else None
     traj = dynamics.solve_epsilon_delta(spec)
     recovered = {}

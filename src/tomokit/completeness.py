@@ -18,7 +18,7 @@ import numpy as np
 from . import core
 from .errors import (InconsistentTomogramsError, InsufficientDataError,
                      InvalidArgumentError, InvalidCovarianceError,
-                     ModelMismatchError, NumericalError, UnsupportedError)
+                     ModelMismatchError, NumericalError, UnsupportedError, check)
 from .transform import _LINE_ATOL, GaussianState, TomogramSlice
 
 _KS_LIMIT = 0.01
@@ -94,8 +94,8 @@ def holevo_chi(ensemble: Ensemble) -> float:
     root = np.sqrt(w)
     lam = np.linalg.eigvalsh(root[:, None] * gram * root[None, :])
     low = lam.min()
-    if low < -1e-8:
-        raise NumericalError(f"mixture has eigenvalue {low!r} below -1e-8")
+    check(-low, 1e-8, NumericalError,
+          lambda: f"mixture has eigenvalue {low!r}, negative beyond roundoff")
     lam = lam[lam > 0.0]
     return float(-np.sum(lam * np.log(lam)))
 
@@ -232,19 +232,15 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
         stats = _STATS[s]
         if len(stats) == 1:
             stats.append(_ks_distance(s, v[i]))
-        if not stats[1] <= _KS_LIMIT:
-            raise ModelMismatchError(
-                f"slice at ({s.mu!r}, {s.nu!r}) is not a zero-mean Gaussian: "
-                f"KS distance {stats[1]:.3f} above {_KS_LIMIT}")
+        check(stats[1], _KS_LIMIT, ModelMismatchError, lambda: f"slice at ({s.mu!r}, "
+              f"{s.nu!r}) is not a zero-mean Gaussian: KS distance {stats[1]:.3f}")
     u, sv, vt = np.linalg.svd(rows)
     rank = int(np.sum(sv > sv[0] * 1e-10))
     sol = vt[:rank].T @ ((u[:, :rank].T @ v) / sv[:rank])
     null = vt[rank:]
     residual = float(np.max(np.abs(rows @ sol - v) / np.maximum(1.0, np.abs(v))))
-    if residual > _FIT_RESIDUAL_LIMIT:
-        raise InconsistentTomogramsError(
-            f"variance system residual {residual:.2e} above "
-            f"{_FIT_RESIDUAL_LIMIT}: slices disagree about the covariance")
+    check(residual, _FIT_RESIDUAL_LIMIT, InconsistentTomogramsError, lambda: (
+        f"variance system residual {residual:.2e}: slices disagree about the covariance"))
     vals = [float(sol[j]) if np.linalg.norm(null[:, j]) <= 1e-8 else None
             for j in range(3)]
     return CovarianceEstimate(vals[0], vals[1], vals[2], residual)
@@ -298,10 +294,9 @@ def _pure_covariance(mset: MeasurementSet,
         raise InsufficientDataError(
             "three-direction analysis needs both marginal variances")
     excess = sxx * spp - 0.25
-    if excess < -_UNCERTAINTY_SLACK:
-        raise InvalidCovarianceError(
-            f"fitted variances give sigma_xx sigma_pp = {sxx * spp:.6f} < 1/4: "
-            "no pure Gaussian state is compatible")
+    check(-excess, _UNCERTAINTY_SLACK, InvalidCovarianceError, lambda: "fitted variances "
+          f"give sigma_xx sigma_pp = {sxx * spp:.6f} < 1/4: no pure Gaussian state is "
+          "compatible")
     mag = float(np.sqrt(max(excess, 0.0)))
     plus = _oblique_residual(mset, sxx, mag, spp)
     minus = _oblique_residual(mset, sxx, -mag, spp)
@@ -337,9 +332,8 @@ def gaussian_completeness(mset: MeasurementSet,
         return CompletenessReport(0.0, REGIME_THREE_OR_MORE, cov, True)
     if len(lines) == 2 and has_pos and has_mom:
         arg = float(np.sqrt(est.sigma_xx * est.sigma_pp)) - 0.5
-        if arg < -_UNCERTAINTY_SLACK:
-            raise InvalidCovarianceError(
-                "fitted variances violate the uncertainty relation")
+        check(-arg, _UNCERTAINTY_SLACK, InvalidCovarianceError,
+              lambda: "fitted variances violate the uncertainty relation")
         value = g_function(max(arg, 0.0))
         return CompletenessReport(value, REGIME_POSITION_MOMENTUM, est,
                                   purity_assumed)

@@ -7,13 +7,12 @@ so a normalized :class:`WaveFunction` satisfies ``sum |psi|^2 dx = 1``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResolutionError, UnsupportedError
+from .errors import InvalidArgumentError, ResolutionError, UnsupportedError, check
 
 __all__ = [
     "SpatialGrid",
@@ -179,7 +178,8 @@ class FockPreset:
 def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     """Normalized Hermite functions h_0..h_n_max by the stable recurrence."""
     h = np.zeros((n_max + 1, x.size))
-    h[0] = np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is exact
+        h[0] = np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
     if n_max >= 1:
         h[1] = np.sqrt(2.0) * x * h[0]
     for n in range(2, n_max + 1):
@@ -188,25 +188,19 @@ def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def _check_boundary(amps: np.ndarray, what: str) -> None:
-    peak = np.abs(amps).max()
-    edge = max(abs(amps[0]), abs(amps[-1]))
-    if peak > 0 and edge > _BOUNDARY_LEAK_REL * peak:
-        warnings.warn(
-            f"{what}: boundary amplitude {edge/peak:.2e} of peak; "
-            "grid may be too narrow", BoundaryLeakWarning, stacklevel=3)
+    peak = np.abs(amps).max()  # 0 if every amplitude underflowed; WaveFunction rejects it
+    edge = max(abs(amps[0]), abs(amps[-1])) / peak if peak > 0 else 0.0
+    check(edge, _BOUNDARY_LEAK_REL, BoundaryLeakWarning, lambda: f"{what}: boundary "
+          f"amplitude {edge:.2e} of peak; grid may be too narrow")
 
 
 def _check_sampling(amps: np.ndarray, what: str) -> None:
     power = np.abs(np.fft.fft(amps)) ** 2
-    total = power.sum()
-    if total == 0.0:  # every amplitude underflowed; WaveFunction rejects it
-        return
-    share = power[np.abs(np.fft.fftfreq(amps.size)) >= 0.25].sum() / total
-    if share > _ALIAS_SHARE_LIMIT:
-        raise ResolutionError(
-            f"{what}: {share:.2e} of the spectral energy lies in the upper "
-            f"half of the band, above {_ALIAS_SHARE_LIMIT}; the grid "
-            f"under-resolves the state, suggest n_points >= {2 * amps.size}")
+    total = power.sum()  # 0 if every amplitude underflowed; WaveFunction rejects it
+    share = power[np.abs(np.fft.fftfreq(amps.size)) >= 0.25].sum() / total if total else 0.0
+    check(share, _ALIAS_SHARE_LIMIT, ResolutionError, lambda: f"{what}: {share:.2e} of the "
+          "spectral energy lies in the upper half of the band; the grid under-resolves "
+          f"the state, suggest n_points >= {2 * amps.size}")
 
 
 def sample_state(preset: GaussianPreset | FockPreset, grid: SpatialGrid) -> WaveFunction:
@@ -220,8 +214,9 @@ def sample_state(preset: GaussianPreset | FockPreset, grid: SpatialGrid) -> Wave
     x = grid.points
     if isinstance(preset, GaussianPreset):
         s2 = preset.sigma ** 2
-        amps = ((2.0 * np.pi * s2) ** -0.25
-                * np.exp(-((x - preset.x0) ** 2) / (4.0 * s2) + 1j * preset.p0 * x))
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(-inf) = 0; nan fails below
+            amps = ((2.0 * np.pi * s2) ** -0.25
+                    * np.exp(-((x - preset.x0) ** 2) / (4.0 * s2) + 1j * preset.p0 * x))
     elif isinstance(preset, FockPreset):
         if preset.n > FOCK_N_MAX:
             raise UnsupportedError(

@@ -29,6 +29,7 @@ from .errors import (
     OutOfRangeError,
     ResolutionError,
     StepSizeError,
+    check,
 )
 from .transform import TomogramSlice, _direction, _quadrature, tomogram
 
@@ -269,12 +270,8 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     eps, epsd = np.array(es), np.array(eds)
     with np.errstate(over="ignore", invalid="ignore"):
         w = eps.real[1:] * epsd.imag[1:] - eps.imag[1:] * epsd.real[1:]
-        drifted = ~(np.abs(w - 1.0) <= _WRONSKIAN_RAISE)
-    if drifted.any():
-        i = int(np.argmax(drifted))
-        raise StepSizeError(
-            f"Wronskian drifted to {float(w[i])!r} at t = {stage_t[2 * i + 2]!r}; "
-            "reduce dt")
+    check(np.abs(w - 1.0), _WRONSKIAN_RAISE, StepSizeError, lambda i: "Wronskian drifted to "
+          f"{float(w[i])!r} at t = {stage_t[2 * i + 2]!r}; reduce dt")
     if first_bad is not None:
         raise InvalidArgumentError(
             f"omega/force not finite at t = {stage_t[first_bad]!r}")
@@ -387,10 +384,9 @@ def _recorded(history: PositionHistory, t: float, mu: float, nu: float,
         moved = SpatialGrid(grid.x_min + shift / scale, grid.dx, grid.n_points)
         out = np.abs(_quadrature(dens, moved, scale, 0.0, grid)) / np.sqrt(abs(scale))
     integral = float(out.sum() * grid.dx)
-    if abs(integral - 1.0) > 1e-5:
-        raise ResolutionError(
-            f"recovered slice at ({mu!r}, {nu!r}) integrates to {integral!r}; "
-            "the scaled or shifted support leaves the grid")
+    check(abs(integral - 1.0), 1e-5, ResolutionError, lambda: "recovered slice at "
+          f"({mu!r}, {nu!r}) integrates to {integral!r}; the scaled or shifted support "
+          "leaves the grid")
     return TomogramSlice(mu, nu, grid, out / integral)
 
 
@@ -425,8 +421,7 @@ def initial_tomogram_from_oscillator(history: PositionHistory,
         raise DegenerateDirectionError(f"epsilon vanished at t = {t!r}")
     grid = history.grid
     shift = float(np.sqrt(2.0) * (eps * np.conj(delta)).real)
-    if not abs(shift) <= grid.x_max - grid.x_min:
-        raise ResolutionError(
-            f"recovered slice at t = {t!r} is shifted by {shift!r}, "
-            "past the grid width; the shifted support leaves the grid")
+    check(abs(shift), grid.x_max - grid.x_min, ResolutionError, lambda: "recovered slice at "
+          f"t = {t!r} is shifted by {shift!r}, past the grid width; the shifted support "
+          "leaves the grid")
     return _recorded(history, t, eps.real, eps.imag, 1.0, shift)

@@ -5,6 +5,8 @@ status the CLI maps it to.  Library callers catch the exception types;
 scripted callers parse the ``ERROR <code>:`` line on stderr.
 """
 
+import warnings
+
 
 class TomokitError(Exception):
     """Base class for all toolkit failures."""
@@ -89,3 +91,22 @@ class InconsistentTomogramsError(TomokitError):
 
     code = "inconsistent-tomograms"
     exit_code = 5
+
+
+def check(value, limit, error, message) -> None:
+    """Pass if ``value <= limit`` (nan fails; an array passes if every element
+    does), else raise ``error``, or warn it if a Warning, with the limit added
+    to ``message()``, or to ``message(i)`` for an array's first failure i."""
+    if getattr(value, "ndim", 0):
+        ok = value <= limit
+        if ok.all():
+            return
+        text = message(int(ok.argmin()))
+    elif value <= limit:
+        return
+    else:
+        text = message()
+    text = f"{text} (limit {limit!r})"
+    if not issubclass(error, Warning):
+        raise error(text)
+    warnings.warn(text, error, stacklevel=4)  # past the helper, to the public call's caller

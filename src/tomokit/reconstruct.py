@@ -27,6 +27,7 @@ from .errors import (
     InconsistentTomogramsError,
     InsufficientDataError,
     InvalidArgumentError,
+    check,
 )
 from .transform import TomogramSlice, _direction, _quadrature
 
@@ -55,8 +56,9 @@ _CONDITION_LIMIT = 1e8
 _RESIDUAL_LIMIT = 1e-2
 
 # Largest standard error of the pairwise products, and (piecewise) largest
-# distance of the solved products from the unit circle.
-_UNIT_MODULUS_SLACK = 0.1
+# distance of the solved products from the unit circle, 1 for a zero product.
+_STDERR_LIMIT = 0.1
+_UNIT_CIRCLE_SLACK = 0.1
 
 
 def _segment_index(breakpoints: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,7 +243,7 @@ def _solve(position: TomogramSlice, extras, breakpoints):
 
 
 def _fit(position: TomogramSlice, extras, breakpoints):
-    """Shared least-squares assembly; returns (sol_pairs, residual, cond, K).
+    """Shared least-squares assembly; returns (sol_pairs, residual, cond, status, K).
 
     The stacked rows read
         sum_{p<q} [2 a_pq c_pq - 2 b_pq s_pq] = omega - sum_j |w_j|^2
@@ -270,19 +272,17 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
     misfit = a @ sol - b
     residual = float(np.sqrt(np.mean(misfit ** 2)))
-    if residual > _RESIDUAL_LIMIT:
-        raise InconsistentTomogramsError(
-            f"least-squares residual {residual:.2e} above {_RESIDUAL_LIMIT}: "
-            "slices are not tomograms of one piecewise state")
+    check(residual, _RESIDUAL_LIMIT, InconsistentTomogramsError, lambda: "least-squares "
+          f"residual {residual:.2e}: slices are not tomograms of one piecewise state")
     if not sv.size:
-        return sol.reshape(-1, 2), residual, 1.0, k
+        return sol.reshape(-1, 2), residual, 1.0, "ok", k
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    stderr = float(np.linalg.norm(misfit) / sv[-1]) if sv[-1] > 0 else np.inf
-    if cond <= _CONDITION_LIMIT and stderr > _UNIT_MODULUS_SLACK:
-        raise InsufficientDataError(
-            f"pairwise phase products have standard error {stderr:.2e} (limit "
-            f"{_UNIT_MODULUS_SLACK}); use slices further from the position axis")
-    return sol.reshape(-1, 2), residual, cond, k
+    status = "ok" if cond <= _CONDITION_LIMIT else "ill-conditioned"
+    if status == "ok":
+        stderr = float(np.linalg.norm(misfit) / sv[-1])
+        check(stderr, _STDERR_LIMIT, InsufficientDataError, lambda: "pairwise phase products "
+              f"have standard error {stderr:.2e}; use slices further from the position axis")
+    return sol.reshape(-1, 2), residual, cond, status, k
 
 
 def _recover(position: TomogramSlice, extras, bp: np.ndarray, needed: int,
@@ -302,16 +302,14 @@ def _recover(position: TomogramSlice, extras, bp: np.ndarray, needed: int,
         raise InsufficientDataError(f"{shortfall}, got {len(extras)}")
     if not extras:
         return PhaseRecoveryResult(np.zeros(1), 0.0, 1.0, "ok")
-    sol, residual, cond, k = _solve(position, extras, bp)
+    sol, residual, cond, status, k = _solve(position, extras, bp)
     if project:
         moduli = np.hypot(sol[:, 0], sol[:, 1])
         worst = np.abs(moduli - 1.0).max(initial=0.0)
-        if np.any(moduli <= 0.0) or worst > _UNIT_MODULUS_SLACK:
-            raise InconsistentTomogramsError(
-                f"pairwise cosine/sine solution off the unit circle by {worst:.2e} "
-                f"(limit {_UNIT_MODULUS_SLACK}): slices do not fit the fragmentation")
+        check(worst, _UNIT_CIRCLE_SLACK, InconsistentTomogramsError, lambda: "pairwise "
+              f"cosine/sine solution off the unit circle by {worst:.2e}: slices do not fit "
+              "the fragmentation")
         sol = sol / moduli[:, None]
-    status = "ill-conditioned" if cond > _CONDITION_LIMIT else "ok"
     phases = _phases_from_pairs(sol[:, 0] + 1j * sol[:, 1], k)
     phases.flags.writeable = False
     return PhaseRecoveryResult(phases, residual, cond, status)

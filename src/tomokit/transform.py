@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SpatialGrid, WaveFunction, _check_boundary
-from .errors import InvalidArgumentError, InvalidCovarianceError, ResolutionError
+from .errors import InvalidArgumentError, InvalidCovarianceError, ResolutionError, check
 
 __all__ = [
     "TomogramSlice",
@@ -297,16 +297,11 @@ def _check_norm(out: np.ndarray, density: np.ndarray, grid: SpatialGrid) -> None
     slice is narrower than dx, and w(X; l mu, l nu) = w(X/l; mu, nu)/|l|.
     """
     nrm = float(np.sqrt(np.sum(density) * grid.dx))
-    if abs(nrm - 1.0) <= 1e-8:
-        return
-    mag = np.abs(out)
-    if max(mag[0], mag[-1]) > 1e-8 * mag.max():
-        advice = (f"output grid cannot contain the transformed state, suggest "
-                  f"n_points >= {2 * grid.n_points} with a wider extent")
-    else:
-        advice = ("the slice is narrower than the grid spacing, suggest a "
-                  "finer grid or a longer direction")
-    raise ResolutionError(f"transform norm {nrm!r} off 1 beyond 1e-8; {advice}")
+    check(abs(nrm - 1.0), 1e-8, ResolutionError, lambda: f"transform norm {nrm!r} off 1; " + (
+        "output grid cannot contain the transformed state, suggest n_points >= "
+        f"{2 * grid.n_points} with a wider extent"
+        if max(abs(out[0]), abs(out[-1])) > 1e-8 * np.abs(out).max() else
+        "the slice is narrower than the grid spacing, suggest a finer grid or a longer direction"))
 
 
 def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
@@ -342,10 +337,8 @@ def tomogram_gaussian(state: GaussianState, mu: float, nu: float,
     x = grid.points
     density = np.exp(-x ** 2 / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
     integral = float(density.sum() * grid.dx)
-    if abs(integral - 1.0) > 1e-6:
-        raise ResolutionError(
-            f"Gaussian slice with variance {v!r} integrates to {integral!r} "
-            "on this grid; widen the extent")
+    check(abs(integral - 1.0), 1e-6, ResolutionError, lambda: "Gaussian slice with variance "
+          f"{v!r} integrates to {integral!r} on this grid; widen the extent")
     return TomogramSlice(mu, nu, grid, density)
 
 
@@ -361,6 +354,7 @@ def sample_pure_gaussian(state: GaussianState, grid: SpatialGrid) -> WaveFunctio
     alpha = 1.0 / (2.0 * state.sigma_xx)
     beta = -state.sigma_xp / state.sigma_xx
     x = grid.points
-    amps = np.exp(-0.5 * (alpha + 1j * beta) * x ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(-inf + i nan) = 0
+        amps = np.exp(-0.5 * (alpha + 1j * beta) * x ** 2)
     _check_boundary(amps, f"sample_pure_gaussian({state!r})")
     return WaveFunction(grid, amps)

@@ -390,6 +390,16 @@ def test_measure_overflowing_direction_exits_2(tmp_path, capsys, header):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["reconstruct", "measure"])
+def test_only_slice_underscore_files_are_read(tmp_path, verb):
+    sim = tmp_path / "sim"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.0, 1.0), (0.6, 0.8)) == 0
+    (sim / "slices.csv").write_text("not a slice\n")
+    (sim / "slice.csv").write_text("not a slice either\n")
+    flags = ["--breakpoints=0"] if verb == "reconstruct" else ["--assume-pure"]
+    assert run(verb, f"--in={sim}", *flags, f"--out={tmp_path / 'out'}") == 0
+
+
 def test_measure_empty_directory_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -579,6 +589,12 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
     (["measure", "--in={wide}"], "model-mismatch", 5),
     (["simulate", "--state={vac}", "--grid=-20,20,512", "--direction=1,0"],
      "invalid-argument", 2),
+    (["evolve", "--omega=constant:1", "--t-max=1", "--dt=0.01",
+      "--state={empty}/missing.csv"], "invalid-argument", 2),
+    (["evolve", "--omega=constant:1", "--t-max=1", "--dt=0.01",
+      "--grid=-20,20,512"], "invalid-argument", 2),
+    (["simulate", "--state=fock:0", "--grid=-1e308,12,256", "--direction=0,1"],
+     "resolution-error", 4),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
@@ -774,8 +790,9 @@ _VALID = {
         _flags(omega=["constant:1", "linear-ramp:1,0.1",
                       "cosine-modulated:1,0.2,2"],
                force=["constant:0", "constant:0.5"], t_max=["1", "2"],
-               dt=["0.01", "1e-3"], grid=["-12,12,256"]),
-        _optional("--recover-at=0.5,1", "--state=vacuum")),
+               dt=["0.01", "1e-3"]),
+        st.sampled_from([(), ("--recover-at=0.5,1", "--state=vacuum",
+                              "--grid=-12,12,256")])),
     "measure": st.tuples(st.just(("--in={slices}",)),
                          st.sampled_from([("--assume-pure",), ()])),
 }
@@ -790,12 +807,14 @@ def _finite(text):
 
 
 def _affordable(argv) -> bool:
-    """Whether the grid is given and, if valid, keeps n_points <= 512 and
-    dx >= 0.01, and valid steps keep t_max <= 3 and dt >= 1e-3: finer grids
-    pad the momentum side to about pi/dx^2 samples, and a long finite run
-    allocates every step."""
+    """Whether a grid that serves is given and, if valid, keeps n_points
+    <= 512 and dx >= 0.01, and valid steps keep t_max <= 3 and dt >= 1e-3:
+    finer grids pad the momentum side to about pi/dx^2 samples, and a long
+    finite run allocates every step.  evolve samples a grid only for
+    --recover-at."""
     opts = dict(a.partition("=")[::2] for a in argv[1:])
-    if argv[0] in ("simulate", "evolve") and "--grid" not in opts:
+    serves = argv[0] == "simulate" or (argv[0] == "evolve" and "--recover-at" in opts)
+    if serves and "--grid" not in opts:
         return False
     if "--grid" in opts:
         parts = opts["--grid"].split(",")
@@ -867,6 +886,12 @@ def fuzz_inputs(tmp_path_factory):
                "--out={out}"])
 @example(argv=["simulate", "--state=vacuum", "--direction=1,0", "--noise=1e308",
                "--out={out}"])
+@example(argv=["simulate", "--state=fock:0", "--grid=-1e308,12,256",
+               "--direction=0,1", "--out={out}"])
+@example(argv=["simulate", "--state=gaussian:0.5,1e308,0.8", "--grid=-12,12,256",
+               "--direction=1,0", "--out={out}"])
+@example(argv=["evolve", "--omega=constant:1", "--t-max=1", "--dt=0.01",
+               "--state=vacuum", "--out={out}"])
 def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, argv):
     out = fuzz_inputs["root"] / f"out{next(fuzz_inputs['runs'])}"
     argv = [a.format(out=out, **fuzz_inputs) for a in argv]

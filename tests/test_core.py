@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import InterpolatedUnivariateSpline
 
 from tomokit import core
-from tomokit.errors import InvalidArgumentError, ResolutionError, UnsupportedError
+from tomokit.errors import (InvalidArgumentError, ResolutionError, TomokitError,
+                            UnsupportedError)
 
 import oracles
 
@@ -147,8 +148,10 @@ def test_fock_preset_rejects_negative_index():
 
 
 def test_boundary_leak_warning(grid):
-    with pytest.warns(core.BoundaryLeakWarning):
+    with pytest.warns(core.BoundaryLeakWarning, match=r"\(limit 1e-08\)$") as record:
         core.sample_state(core.GaussianPreset(sigma=6.0), grid)
+    # the warning points at the caller of sample_state
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_undersampled_state_rejected():
@@ -156,6 +159,23 @@ def test_undersampled_state_rejected():
     with pytest.raises(ResolutionError, match="n_points >= 32"):
         core.sample_state(core.GaussianPreset(), coarse)
     core.sample_state(core.GaussianPreset(), core.make_grid(-12.0, 12.0, 64))
+
+
+@pytest.mark.parametrize("x_min", [-1e308, -1e200])
+@pytest.mark.parametrize("preset", [core.GaussianPreset(), core.FockPreset(0),
+                                    core.FockPreset(3)], ids=repr)
+def test_grid_whose_squares_overflow_fails_without_numpy_warnings(preset, x_min):
+    # pytest turns a numpy RuntimeWarning into an error here; all amplitudes
+    # but the last, or all of them, are an exact 0
+    with pytest.raises(TomokitError):
+        core.sample_state(preset, core.make_grid(x_min, 12.0, 256))
+
+
+@pytest.mark.parametrize("p0", [1e308, -1e308])
+def test_momentum_past_the_float_range_is_unresolved(p0):
+    with pytest.raises(ResolutionError, match="nan of the spectral energy"):
+        core.sample_state(core.GaussianPreset(0.5, p0, 0.8),
+                          core.make_grid(-12.0, 12.0, 256))
 
 
 def test_unknown_preset_rejected(grid):

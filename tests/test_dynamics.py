@@ -168,10 +168,10 @@ def test_non_finite_rate_names_first_stage_time(omega, force, first_bad):
 @pytest.mark.parametrize("omega, t_max, dt, error, message", [
     # the coarse steps fail before the rate turns nan at t > 3
     (lambda t: np.nan if t > 3.0 else 5.0, 4.0, 0.5, StepSizeError,
-     "Wronskian drifted to 0.25825330946180547 at t = 0.5; reduce dt"),
+     "Wronskian drifted to 0.25825330946180547 at t = 0.5; reduce dt (limit 1e-06)"),
     # the first step fails; epsilon would overflow long before t_max
     (dynamics.constant_rate(40.0), 60.0, 0.1, StepSizeError,
-     "Wronskian drifted to 57.888888888888886 at t = 0.1; reduce dt"),
+     "Wronskian drifted to 57.888888888888886 at t = 0.1; reduce dt (limit 1e-06)"),
     (lambda t: np.nan, 1.0, 1e-3, InvalidArgumentError,
      "omega/force not finite at t = 0.0"),
 ], ids=["nan-after-coarse-steps", "diverging", "nan-everywhere"])
@@ -280,11 +280,11 @@ def test_preset_sample_equals_scalar_calls(rate, t_max, dt):
 @pytest.mark.parametrize("omega, t_max, dt, error, message", [
     (lambda t: 1.0 if t < 1.0 else 30.0, 60.0, 0.05, StepSizeError,
      "Wronskian drifted to 1.0000778388206846 at t = 1.0000000000000002; "
-     "reduce dt"),
+     "reduce dt (limit 1e-06)"),
     (dynamics.linear_ramp(1.0, 20.0), 60.0, 0.05, StepSizeError,
-     "Wronskian drifted to 0.9999988642462881 at t = 0.1; reduce dt"),
+     "Wronskian drifted to 0.9999988642462881 at t = 0.1; reduce dt (limit 1e-06)"),
     (dynamics.linear_ramp(1.0, 1e308), 3.0, 1e-3, StepSizeError,
-     "Wronskian drifted to nan at t = 0.001; reduce dt"),
+     "Wronskian drifted to nan at t = 0.001; reduce dt (limit 1e-06)"),
     (dynamics.cosine_modulated(1.0, 0.5, 1e308), 3.0, 1e-3,
      InvalidArgumentError, "omega/force not finite at t = 1.7979999999999128"),
 ], ids=["step-up", "steep-ramp", "ramp-overflow", "cosine-overflow"])

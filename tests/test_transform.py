@@ -343,6 +343,19 @@ def test_sample_pure_gaussian_rejects_mixed_covariance(grid):
             GaussianState(sigma_xx=1.0, sigma_pp=1.0), grid)
 
 
+@pytest.mark.parametrize("x_min", [-1e308, -1e200])
+def test_sample_pure_gaussian_where_squares_overflow(x_min):
+    state = GaussianState(1.0, 0.3125, 0.25)
+    narrow = core.make_grid(-2.0, 2.0, 256)
+    with pytest.warns(core.BoundaryLeakWarning) as record:
+        transform.sample_pure_gaussian(state, narrow)
+    assert [w.filename for w in record] == [__file__]
+    # exp(-inf + i nan) is 0, with no numpy warning
+    with pytest.warns(core.BoundaryLeakWarning):
+        psi = transform.sample_pure_gaussian(state, core.make_grid(x_min, 12.0, 256))
+    assert np.all(psi.amplitudes[:-1] == 0.0)
+
+
 def test_fresnel_matches_transform_path(grid, vacuum):
     for nu in (0.5, 1.0):
         direct = oracles.fresnel_tomogram(vacuum.amplitudes, grid.points, nu)
