@@ -55,12 +55,8 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         raise InvalidArgumentError(f"malformed {flag} value {text!r}") from None
 
 
-def _parse_breakpoints(text: str) -> tuple[float, ...]:
-    cuts = _parse_float_list(text, "--breakpoints")
-    if not (np.all(np.isfinite(cuts)) and np.all(np.diff(cuts) > 0.0)):
-        raise InvalidArgumentError(
-            f"--breakpoints must be finite and strictly increasing, got {text!r}")
-    return cuts
+def _parse_breakpoints(text: str) -> np.ndarray:
+    return core._increasing(_parse_float_list(text, "--breakpoints"), f"--breakpoints={text}")
 
 
 def _nonnegative(convert, flag: str):
@@ -119,10 +115,7 @@ def _resolve_state(spec: str | None,
     if os.path.isfile(spec):
         psi = io.read_wavefunction_csv(spec)
         g = psi.grid
-        # the same points, and ends as close as a CSV round trip keeps them
-        if grid is not None and not (grid.n_points == g.n_points and np.allclose(
-                (grid.x_min, grid.x_max), (g.x_min, g.x_max), rtol=0.0,
-                atol=io._GRID_UNIFORM_RTOL * (g.x_max - g.x_min))):
+        if grid is not None and not io.same_grid(grid, g):
             raise InvalidArgumentError(
                 f"--grid={grid.x_min!r},{grid.x_max!r},{grid.n_points} does not "
                 f"describe the grid {g.x_min!r},{g.x_max!r},{g.n_points} of "
@@ -134,25 +127,24 @@ def _resolve_state(spec: str | None,
         "fock:n) nor an existing file")
 
 
-def _ensure_outdir(path: str) -> None:
+def _publish(outdir: str, files: dict, command: str | None = None, extra=()) -> None:
+    """Create ``outdir``, write each ``name: (writer, value)`` into it and,
+    given a command, the manifest of those files plus the ``extra`` items."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
-        raise InvalidArgumentError(f"output directory {path!r} cannot be "
+        raise InvalidArgumentError(f"output directory {outdir!r} cannot be "
                                    f"created: {exc.strerror}") from None
-    if not os.access(path, os.W_OK):
-        raise InvalidArgumentError(f"output directory {path!r} is not writable")
-
-
-def _write_manifest(outdir: str, command: str, names, extra: dict | None = None) -> None:
-    payload = {
-        "command": command,
-        "files": {n: io.sha256_of(os.path.join(outdir, n)) for n in sorted(names)},
-        "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    if extra:
-        payload.update(extra)
-    io.write_json(os.path.join(outdir, "manifest.json"), payload)
+    if not os.access(outdir, os.W_OK):
+        raise InvalidArgumentError(f"output directory {outdir!r} is not writable")
+    for name, (write, value) in files.items():
+        write(os.path.join(outdir, name), value)
+    if command is not None:
+        io.write_json(os.path.join(outdir, "manifest.json"), {
+            "command": command,
+            "files": {n: io.sha256_of(os.path.join(outdir, n)) for n in sorted(files)},
+            "created_at": datetime.now(timezone.utc).isoformat(),
+            **dict(extra)})
 
 
 def _noisy(s: transform.TomogramSlice, rel: float, seed: int,
@@ -175,12 +167,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     slices = {}
     for i, (mu, nu) in enumerate(args.direction):
         s = transform.tomogram(psi, mu, nu)
-        slices[f"slice_{i:03d}.csv"] = (
-            _noisy(s, args.noise, args.seed, i) if args.noise > 0.0 else s)
-    _ensure_outdir(args.out)
-    for name, s in slices.items():
-        io.write_slice_csv(os.path.join(args.out, name), s)
-    _write_manifest(args.out, "simulate", slices, {
+        slices[f"slice_{i:03d}.csv"] = (io.write_slice_csv, (
+            _noisy(s, args.noise, args.seed, i) if args.noise > 0.0 else s))
+    _publish(args.out, slices, "simulate", {
         "directions": [[float(m), float(n)] for m, n in args.direction]})
 
 
@@ -198,23 +187,20 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
         raise InvalidArgumentError(
             "no position slice (mu, nu) = (1, 0) in the input directory")
     extras = [s for s in slices if s is not position]
-    if args.breakpoints:
-        bps = np.asarray(args.breakpoints, dtype=float)
-    elif args.method == "nodes":
+    bps = args.breakpoints
+    if bps is None:
+        if args.method != "nodes":
+            raise InvalidArgumentError("--method piecewise needs --breakpoints")
         bps = reconstruct.detect_nodes(position)
-    else:
-        raise InvalidArgumentError("--method piecewise needs --breakpoints")
-    report_path = os.path.join(args.out, "reconstruction.json")
     try:
         if args.method == "nodes":
             result = reconstruct.recover_phases_nodes(position, extras, bps)
         else:
             result = reconstruct.recover_phases_piecewise(bps, position, extras)
     except (InsufficientDataError, InconsistentTomogramsError) as exc:
-        _ensure_outdir(args.out)
-        io.write_json(report_path, {"phases": [], "residual": None,
-                                    "condition_estimate": None,
-                                    "status": exc.code})
+        _publish(args.out, {"reconstruction.json": (io.write_json, {
+            "phases": [], "residual": None, "condition_estimate": None,
+            "status": exc.code})})
         raise
     payload = {"phases": [float(p) for p in result.phases],
                "residual": result.residual,
@@ -222,16 +208,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
                "status": result.status}
     if args.truth is not None:
         truth = io.read_wavefunction_csv(args.truth)
-        if truth.grid != position.grid:
+        if not io.same_grid(truth.grid, position.grid):
             raise InvalidArgumentError(
                 "truth state and slices live on different grids")
+        truth = core.WaveFunction(position.grid, truth.amplitudes, normalize=False)
         rebuilt = reconstruct.assemble_state(
             reconstruct.piecewise_from_position(bps, position, result.phases),
             position.grid)
         payload["fidelity"] = float(abs(truth.inner(rebuilt)) ** 2)
-    _ensure_outdir(args.out)
-    io.write_json(report_path, payload)
-    _write_manifest(args.out, "reconstruct", ["reconstruction.json"])
+    _publish(args.out, {"reconstruction.json": (io.write_json, payload)}, "reconstruct")
 
 
 def _recovery_request(args: argparse.Namespace):
@@ -261,20 +246,17 @@ def cmd_evolve(args: argparse.Namespace) -> None:
         raise InvalidArgumentError("--state and --grid only serve --recover-at")
     recovery = _recovery_request(args) if args.recover_at else None
     traj = dynamics.solve_epsilon_delta(spec)
-    recovered = {}
+    files = {"trajectory.csv": (io.write_trajectory_csv, traj)}
+    recovered = []
     if recovery is not None:
         omega_value, psi, times = recovery
         history = dynamics.harmonic_position_history(psi, times, omega_value)
         for i, t in enumerate(times):
-            recovered[f"recovered_{i:03d}.csv"] = (
-                t, dynamics.initial_tomogram_from_oscillator(history, traj, t))
-    _ensure_outdir(args.out)
-    io.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
-    for name, (_, s) in recovered.items():
-        io.write_slice_csv(os.path.join(args.out, name), s)
-    _write_manifest(args.out, "evolve", ["trajectory.csv", *recovered], {
-        "recovered": [{"file": name, "time": t}
-                      for name, (t, _) in recovered.items()]})
+            name = f"recovered_{i:03d}.csv"
+            files[name] = (io.write_slice_csv,
+                           dynamics.initial_tomogram_from_oscillator(history, traj, t))
+            recovered.append({"file": name, "time": t})
+    _publish(args.out, files, "evolve", {"recovered": recovered})
 
 
 def cmd_measure(args: argparse.Namespace) -> None:
@@ -285,9 +267,7 @@ def cmd_measure(args: argparse.Namespace) -> None:
     report = completeness.gaussian_completeness(
         completeness.MeasurementSet(tuple(slices)),
         purity_assumed=args.assume_pure)
-    _ensure_outdir(args.out)
-    io.write_json(os.path.join(args.out, "completeness.json"), report.payload())
-    _write_manifest(args.out, "measure", ["completeness.json"])
+    _publish(args.out, {"completeness.json": (io.write_json, report.payload())}, "measure")
 
 
 def build_parser() -> _Parser:

@@ -58,7 +58,7 @@ class SpatialGrid:
     def __post_init__(self):
         if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
             raise InvalidArgumentError("n_points must be an integer >= 2")
-        if not (np.isfinite(self.x_min) and np.isfinite(self.dx)):
+        if not (np.isfinite(self.x_min) and np.isfinite(self.dx) and np.isfinite(self.x_max)):
             raise InvalidArgumentError("grid parameters must be finite")
         if self.dx <= 0:
             raise InvalidArgumentError("dx must be positive")
@@ -72,6 +72,19 @@ class SpatialGrid:
         x = self.x_min + self.dx * np.arange(self.n_points)
         x.flags.writeable = False
         return x
+
+
+def _increasing(values, what: str, min_size: int = 0) -> np.ndarray:
+    """A read-only float64 copy of ``values``: at least ``min_size`` finite
+    numbers, each above the one before (compared, so a gap may overflow)."""
+    v = np.array(values, dtype=float)
+    if not (v.ndim == 1 and v.size >= min_size and np.all(np.isfinite(v))
+            and np.all(v[1:] > v[:-1])):
+        size = f", of {min_size} or more values" if min_size else ""
+        raise InvalidArgumentError(
+            f"{what} must be a finite 1D sequence, strictly increasing{size}")
+    v.flags.writeable = False
+    return v
 
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> SpatialGrid:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SpatialGrid, WaveFunction
+from .core import SpatialGrid, WaveFunction, _increasing
 from .errors import (
     DegenerateDirectionError,
     InvalidArgumentError,
@@ -146,17 +146,15 @@ class OscillatorTrajectory:
     through the four samples around t; the arrays are read-only copies."""
 
     def __init__(self, times, epsilon, epsilon_dot, delta):
-        t = np.array(times, dtype=float)
+        t = _increasing(times, "times", min_size=2)
         eps, epsd, dlt = (np.array(a, dtype=complex) for a in (epsilon, epsilon_dot, delta))
-        if t.ndim != 1 or t.size < 2 or not np.all(t[1:] > t[:-1]):
-            raise InvalidArgumentError("times must be strictly increasing, >= 2 samples")
         for arr in (eps, epsd, dlt):
             if arr.shape != t.shape:
                 raise InvalidArgumentError("trajectory arrays must match times")
         if abs(eps[0] - 1.0) > 1e-12 or abs(epsd[0] - 1j) > 1e-12 or abs(dlt[0]) > 1e-12:
             raise InvalidArgumentError(
                 "trajectory must start from epsilon=1, epsilon'=i, delta=0")
-        for arr in (t, eps, epsd, dlt):
+        for arr in (eps, epsd, dlt):
             arr.flags.writeable = False
         self.times = t
         self.epsilon = eps
@@ -307,11 +305,9 @@ class PositionHistory:
     """
 
     def __init__(self, times, slices: Sequence[TomogramSlice]):
-        t = np.array(times, dtype=float)
-        if t.ndim != 1 or t.size == 0 or t.size != len(slices):
+        t = _increasing(times, "times", min_size=1)
+        if t.size != len(slices):
             raise InvalidArgumentError("need one time per slice")
-        if not np.all(t[1:] > t[:-1]):
-            raise InvalidArgumentError("times must be strictly increasing")
         if not all(isinstance(s, TomogramSlice) for s in slices):
             raise InvalidArgumentError("slices must be TomogramSlice objects")
         grid = slices[0].grid
@@ -321,7 +317,6 @@ class PositionHistory:
                     f"history slice at ({s.mu!r}, {s.nu!r}) is not a position tomogram")
             if s.grid != grid:
                 raise InvalidArgumentError("history slices must share one grid")
-        t.flags.writeable = False
         self.times = t
         self.slices = tuple(slices)
         self._grid = grid
@@ -353,9 +348,7 @@ def harmonic_position_history(psi0: WaveFunction, times,
     transform's unitarity check raises ResolutionError when the evolved
     state leaves the grid.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
-        raise InvalidArgumentError("history times must be a finite 1D sequence")
+    times = _increasing(times, "history times")
     if not np.isfinite(omega):
         raise InvalidArgumentError("omega must be finite")
     if times.size and not times[0] >= 0:

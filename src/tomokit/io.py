@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import SpatialGrid, WaveFunction
-from .errors import ParseError
+from .errors import ParseError, TomokitError
 from .transform import TomogramSlice
 
 if TYPE_CHECKING:
@@ -52,13 +52,28 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _grid_from_x(x: np.ndarray, path) -> SpatialGrid:
+def same_grid(a: SpatialGrid, b: SpatialGrid) -> bool:
+    """Whether a and b are one grid as a CSV round trip keeps it: as many
+    points, and ends that agree within _GRID_UNIFORM_RTOL of b's width."""
+    atol = _GRID_UNIFORM_RTOL * (b.x_max - b.x_min)
+    return (a.n_points == b.n_points and abs(a.x_min - b.x_min) <= atol
+            and abs(a.x_max - b.x_max) <= atol)
+
+
+def _built_on_x(x: np.ndarray, path, build):
+    """build(grid) on the uniform grid of the x column.  Any TomokitError
+    of the build gets path as a prefix; its class and exit status stay."""
     if x.size < 2:
         raise ParseError(f"{path}: need at least two rows")
-    dx = (x[-1] - x[0]) / (x.size - 1)
-    if dx <= 0 or np.max(np.abs(np.diff(x) - dx)) > _GRID_UNIFORM_RTOL * abs(dx):
-        raise ParseError(f"{path}: x column is not a uniform ascending grid")
-    return SpatialGrid(float(x[0]), float(dx), x.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite width fails below
+        dx = (x[-1] - x[0]) / (x.size - 1)
+        uniform = np.max(np.abs(np.diff(x) - dx)) <= _GRID_UNIFORM_RTOL * dx
+    if not (0.0 < dx < np.inf and uniform):
+        raise ParseError(f"{path}: x column is not a uniform ascending grid of finite width")
+    try:
+        return build(SpatialGrid(float(x[0]), float(dx), x.size))
+    except TomokitError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_lines(path) -> list[str]:
@@ -119,8 +134,7 @@ def read_slice_csv(path) -> TomogramSlice:
     if columns != "X,density":
         raise ParseError(f"{path}:2: expected the column header 'X,density'")
     data = _parse_rows(path, lines, 2, skip=2)
-    grid = _grid_from_x(data[:, 0], path)
-    return TomogramSlice(mu, nu, grid, data[:, 1])
+    return _built_on_x(data[:, 0], path, lambda grid: TomogramSlice(mu, nu, grid, data[:, 1]))
 
 
 def write_wavefunction_csv(path, psi: WaveFunction) -> None:
@@ -134,8 +148,8 @@ def read_wavefunction_csv(path) -> WaveFunction:
     if not lines or lines[0].strip() != "x,real,imag":
         raise ParseError(f"{path}:1: expected the column header 'x,real,imag'")
     data = _parse_rows(path, lines, 3, skip=1)
-    grid = _grid_from_x(data[:, 0], path)
-    return WaveFunction(grid, data[:, 1] + 1j * data[:, 2], normalize=False)
+    return _built_on_x(data[:, 0], path, lambda grid: WaveFunction(
+        grid, data[:, 1] + 1j * data[:, 2], normalize=False))
 
 
 def write_trajectory_csv(path, traj: OscillatorTrajectory) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpatialGrid, WaveFunction
+from .core import SpatialGrid, WaveFunction, _increasing
 from .errors import (
     InconsistentTomogramsError,
     InsufficientDataError,
@@ -79,11 +79,7 @@ class PiecewiseState:
     """
 
     def __init__(self, breakpoints, magnitude, phases, grid: SpatialGrid):
-        bp = np.array(breakpoints, dtype=float)
-        if bp.ndim != 1:
-            raise InvalidArgumentError("breakpoints must be a 1D sequence")
-        if bp.size and (not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0)):
-            raise InvalidArgumentError("breakpoints must be finite, strictly increasing")
+        bp = _increasing(breakpoints, "breakpoints")
         if not isinstance(grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
         k = bp.size + 1
@@ -101,7 +97,7 @@ class PiecewiseState:
         rows = rows * (1.0 / np.sqrt(nrm2))
         self.breakpoints, self.magnitudes = bp, rows
         self.phases = np.mod(ph, 2.0 * np.pi)
-        for arr in (bp, rows, self.phases):
+        for arr in (rows, self.phases):
             arr.flags.writeable = False
         self.grid = grid
 

@@ -329,6 +329,33 @@ def test_reconstruct_non_finite_slice_exits_3(tmp_path, capsys, lineno, text):
     assert f"slice_000.csv:{lineno}: non-finite number" in parse_error(capsys)
 
 
+@pytest.mark.parametrize("verb", ["reconstruct", "measure"])
+def test_slice_of_infinite_width_exits_3(tmp_path, capsys, verb):
+    # x = -1e308, 0, 1e308 is uniform, but its width overflows
+    sim = tmp_path / "sim"
+    sim.mkdir()
+    (sim / "slice_000.csv").write_text(
+        "# mu=1.0 nu=0.0\nX,density\n-1e308,0.0\n0.0,1e-308\n1e308,0.0\n")
+    assert run(verb, f"--in={sim}", f"--out={tmp_path / 'out'}") == 3
+    assert "slice_000.csv: x column is not a uniform ascending" in parse_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["reconstruct", "measure"])
+def test_slice_content_error_names_its_file(tmp_path, capsys, verb):
+    sim = tmp_path / "sim"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.6, 0.8), (0.8, -0.6)) == 0
+    path = sim / "slice_001.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [
+        f"{x},{2.0 * float(d)!r}" for x, d in (line.split(",") for line in lines[2:])
+    ]) + "\n")
+    capsys.readouterr()
+    assert run(verb, f"--in={sim}", f"--out={tmp_path / 'out'}") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"ERROR invalid-argument: {path}: density integrates to 2.0")
+
+
 def test_reconstruct_corrupt_slice_exits_3(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert simulate_vacuum(sim, (1.0, 0.0)) == 0
@@ -538,6 +565,25 @@ def test_state_file_accepts_the_grid_it_was_written_on(tmp_path_factory, x_min,
     assert io.read_slice_csv(root / "out" / "slice_000.csv").grid.n_points == n
 
 
+def test_truth_file_on_the_slices_grid_scores_fidelity(tmp_path):
+    # the slices' grid, rebuilt from their x column, differs from the truth
+    # file's in the last bit of dx; both are one grid within 1e-9 of the width
+    x = np.linspace(-24.584947503338935, 34.48696803951204, 2553)
+    amps = np.exp(-0.5 * (x - 5.0) ** 2)
+    amps /= np.sqrt(np.sum(amps ** 2) * (x[1] - x[0]))
+    truth = tmp_path / "truth.csv"
+    truth.write_text("x,real,imag\n" + "".join(
+        f"{a!r},{b!r},0.0\n" for a, b in zip(x.tolist(), amps.tolist())))
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    assert run("simulate", f"--state={truth}", "--direction=1,0",
+               "--direction=0.6,0.8", f"--out={sim}") == 0
+    assert (io.read_slice_csv(sim / "slice_000.csv").grid
+            != io.read_wavefunction_csv(truth).grid)
+    assert run("reconstruct", f"--in={sim}", f"--truth={truth}", f"--out={rec}") == 0
+    with open(rec / "reconstruction.json") as fh:
+        assert json.load(fh)["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_evolve_history_failure_writes_nothing(tmp_path, capsys):
     # a squeezed state spreads past [-6, 6] under the slow oscillator
     out = tmp_path / "evo"
@@ -595,6 +641,9 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
       "--grid=-20,20,512"], "invalid-argument", 2),
     (["simulate", "--state=fock:0", "--grid=-1e308,12,256", "--direction=0,1"],
      "resolution-error", 4),
+    # the cuts' gap overflows, yet they increase: refused only for want of data
+    (["reconstruct", "--in={pos}", "--breakpoints=-1e308,1e308"],
+     "insufficient-data", 5),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
@@ -892,6 +941,8 @@ def fuzz_inputs(tmp_path_factory):
                "--direction=1,0", "--out={out}"])
 @example(argv=["evolve", "--omega=constant:1", "--t-max=1", "--dt=0.01",
                "--state=vacuum", "--out={out}"])
+@example(argv=["reconstruct", "--in={slices}", "--method=piecewise",
+               "--breakpoints=-1e308,1e308", "--out={out}"])
 def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, argv):
     out = fuzz_inputs["root"] / f"out{next(fuzz_inputs['runs'])}"
     argv = [a.format(out=out, **fuzz_inputs) for a in argv]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import InterpolatedUnivariateSpline
 
-from tomokit import core
+from tomokit import cli, core, dynamics, reconstruct, transform
 from tomokit.errors import (InvalidArgumentError, ResolutionError, TomokitError,
                             UnsupportedError)
 
@@ -33,6 +34,59 @@ def test_grid_points_read_only():
     g = core.make_grid(-1.0, 1.0, 5)
     with pytest.raises(ValueError):
         g.points[0] = 99.0
+
+
+def test_grid_with_an_infinite_end_is_refused():
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        core.SpatialGrid(0.0, 1e308, 3)
+
+
+# edge values: the float range's ends, subnormals and non-finite numbers
+_EDGES = st.sampled_from([-1e308, 1e308, -1.7976931348623157e308, 1.7976931348623157e308,
+                          -5e-324, 5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.0,
+                          math.nan, math.inf, -math.inf])
+_VALUES = st.lists(_EDGES | st.floats(), max_size=5)
+
+
+def _accepted(make) -> bool:
+    try:
+        make()
+    except InvalidArgumentError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_VALUES | _VALUES.map(sorted))
+@example(values=[-1e308, 1e308])
+@example(values=[0.0, 1.0, math.inf])
+@example(values=[math.nan])
+@example(values=[1.0, 1.0])
+def test_ordered_axes_accept_exactly_the_finite_increasing_lists(values):
+    # every caller of core._increasing, with every warning an error
+    ordered = (all(map(math.isfinite, values))
+               and all(a < b for a, b in zip(values, values[1:])))
+    n = len(values)
+    grid = core.make_grid(-8.0, 8.0, 128)
+    psi = core.sample_state(core.GaussianPreset(), grid)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ordered == _accepted(lambda: core._increasing(values, "v"))
+        if ordered:
+            v = core._increasing(values, "v")
+            assert v.dtype == np.float64 and v.tolist() == values
+            assert not v.flags.writeable
+        assert ordered == _accepted(lambda: reconstruct.PiecewiseState(
+            values, np.ones(grid.n_points), np.zeros(n + 1), grid))
+        assert (ordered and n >= 1) == _accepted(
+            lambda: cli._parse_breakpoints(",".join(map(repr, values))))
+        assert (ordered and n >= 1) == _accepted(
+            lambda: dynamics.PositionHistory(values, [pos] * n))
+        assert (ordered and n >= 2) == _accepted(lambda: dynamics.OscillatorTrajectory(
+            values, [1.0] * n, [1j] * n, [0.0] * n))
+        assert (ordered and n >= 1 and values[0] >= 0.0) == _accepted(
+            lambda: dynamics.harmonic_position_history(psi, values))
 
 
 @pytest.mark.parametrize("args", [(-1.0, 1.0, 1), (1.0, -1.0, 8), (0.0, 0.0, 8)])

@@ -313,6 +313,17 @@ def test_increasing_times_are_compared_not_subtracted(vacuum):
         dynamics.OscillatorTrajectory([0.0, np.nan], [1, 2], [1j, 1j], [0, 0])
 
 
+@pytest.mark.parametrize("times, n", [([np.nan], 1), ([0.0, np.inf], 2),
+                                      ([0.0, 1.0, np.inf], 3)])
+def test_non_finite_times_are_refused(vacuum, times, n):
+    pos = transform.tomogram(vacuum, 1.0, 0.0)
+    with pytest.raises(InvalidArgumentError, match="finite 1D"):
+        PositionHistory(times, [pos] * n)
+    if n >= 2:
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            dynamics.OscillatorTrajectory(times, [1.0] * n, [1j] * n, [0.0] * n)
+
+
 def test_trajectory_arrays_are_read_only_copies():
     arrays = [np.array([0.0, 1.0]), np.array([1.0, 0.5j]),
               np.array([1j, 2.0 + 0j]), np.array([0j, 0.25 + 0j])]

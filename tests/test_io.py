@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tomokit import core, dynamics, io, transform
-from tomokit.errors import ParseError
+from tomokit.errors import InvalidArgumentError, ParseError
 
 import oracles
 import strategies
@@ -113,6 +113,30 @@ def test_read_slice_requires_uniform_grid(tmp_path):
                     "0.0,0.2\n1.0,0.3\n2.5,0.5\n")
     with pytest.raises(ParseError, match="uniform ascending"):
         io.read_slice_csv(path)
+
+
+def test_read_slice_names_its_file_in_content_errors(tmp_path, sample_slice):
+    path = tmp_path / "slice_001.csv"
+    io.write_slice_csv(path, sample_slice)
+    lines = path.read_text().splitlines()
+    rows = [f"{x},{2.0 * float(d)!r}" for x, d in
+            (line.split(",") for line in lines[2:])]
+    path.write_text("\n".join(lines[:2] + rows) + "\n")
+    with pytest.raises(InvalidArgumentError) as info:
+        io.read_slice_csv(path)
+    assert str(info.value).startswith(f"{path}: density integrates to 2.0")
+
+
+def test_read_wavefunction_names_its_file_in_content_errors(tmp_path, vacuum):
+    path = tmp_path / "state.csv"
+    io.write_wavefunction_csv(path, vacuum)
+    lines = path.read_text().splitlines()
+    rows = [f"{x},{2.0 * float(re)!r},{im}" for x, re, im in
+            (line.split(",") for line in lines[1:])]
+    path.write_text("\n".join(lines[:1] + rows) + "\n")
+    with pytest.raises(InvalidArgumentError) as info:
+        io.read_wavefunction_csv(path)
+    assert str(info.value).startswith(f"{path}: amplitudes not normalized")
 
 
 def test_read_wavefunction_requires_column_header(tmp_path):

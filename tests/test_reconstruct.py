@@ -83,6 +83,14 @@ def test_piecewise_state_rejects_wrong_counts(grid):
         PiecewiseState([1.0, -1.0], m, [0.0] * 3, grid)
 
 
+def test_piecewise_state_compares_breakpoints_not_their_gaps(grid):
+    # a gap that overflows is still an increase, with no RuntimeWarning
+    # (an error here)
+    st = PiecewiseState([-1e308, 1e308], np.exp(-grid.points ** 2), [0.0] * 3, grid)
+    assert st.breakpoints.tolist() == [-1e308, 1e308]
+    assert st.n_segments == 3
+
+
 def test_piecewise_state_rejects_bad_magnitude(grid):
     m = np.exp(-grid.points ** 2)
     negative, nonfinite = m.copy(), m.copy()
