@@ -193,6 +193,22 @@ def _sample_rate(rate: Callable[[float], float], stages: np.ndarray,
     return np.fromiter(map(float, map(rate, stage_t)), float, len(stage_t))
 
 
+def _step_increments(h, v0, vm, v1) -> np.ndarray:
+    """N with M = I + N the RK4 step of (epsilon, epsilon'), (2, 2, steps):
+    the stage formulas run once on each basis column (1, 0) and (0, 1)."""
+    e, ed = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    h2, h6 = 0.5 * h, h / 6.0
+    b1 = v0 * e
+    e2, ed2 = e + h2 * ed, ed + h2 * b1
+    b2 = vm * e2
+    e3, ed3 = e + h2 * ed2, ed + h2 * b2
+    b3 = vm * e3
+    e4, ed4 = e + h * ed3, ed + h * b3
+    b4 = v1 * e4
+    return np.stack((h6 * (ed + 2.0 * ed2 + 2.0 * ed3 + ed4),
+                     h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)))
+
+
 def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     """Integrate the classical pair with fixed-step RK4.
 
@@ -201,15 +217,22 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     is sampled before the first step, omega and then force.  A preset runs
     its one formula on the array of all stages; any other callable is
     called once per stage with a float argument, so any scalar callable
-    works.  Steps run up to the first stage with a non-finite rate.  Only
-    epsilon and epsilon' are stepped, on Python complex scalars.  After
-    the loop the Wronskian Im(conj(epsilon) epsilon') is checked at the
-    end of every step: at the first step where it drifts beyond 1e-6, or
-    is no longer a number, StepSizeError names that step's end time.
-    Otherwise a non-finite rate raises InvalidArgumentError naming its
-    stage time.  delta does not feed back, so its RK4 stages are rebuilt
-    as arrays after the loop, in the loop's operation order, and summed;
-    a delta that overflows raises InvalidArgumentError.
+    works.  Steps run up to the first stage with a non-finite rate.
+
+    Only epsilon and epsilon' are stepped.  Their system is linear with
+    real coefficients, so each step is a real 2x2 matrix M = I + N, and
+    (epsilon, epsilon') after step n is M_n ... M_1 applied to (1, i).  N
+    holds the RK4 increment alone: M itself would round 1 + N the same way
+    in every step, and on a constant rate those roundings add up in phase.
+    The prefix products are composed by recursive doubling, in log2(n)
+    passes of (I + X)(I + Y) = I + X + Y + XY, the later step on the left.
+    Then the Wronskian Im(conj(epsilon) epsilon') is checked at the end of
+    every step: at the first step where it drifts beyond 1e-6, or is no
+    longer a number, StepSizeError names that step's end time.  Otherwise
+    a non-finite rate raises InvalidArgumentError naming its stage time.
+    delta does not feed back, so its RK4 stages are rebuilt as arrays from
+    epsilon and summed in step order; a delta that overflows raises
+    InvalidArgumentError.
     """
     ratio = spec.t_max / spec.dt
     n_full = int(round(ratio))
@@ -222,60 +245,43 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
             h = np.append(h, remainder)
         ends = np.cumsum(h)
         stages = np.empty(2 * h.size + 1)
+        stages[0] = 0.0
+        stages[2::2] = ends
+        stages[1::2] = stages[0:-1:2] + 0.5 * h
+        stage_t = stages.tolist()
+        ws = _sample_rate(spec.omega, stages, stage_t)
+        f = _sample_rate(spec.force, stages, stage_t)
+        finite = np.isfinite(ws) & np.isfinite(f)
+        first_bad = None if finite.all() else int(np.argmin(finite))
+        n_ok = h.size if first_bad is None else max(0, (first_bad - 1) // 2)
+        # an overflow is -inf, as in Python float arithmetic; inf and nan
+        # run on through the steps, and the Wronskian is checked after them
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = -(ws * ws)
+            n = _step_increments(h[:n_ok], v[0:2 * n_ok:2], v[1:2 * n_ok:2],
+                                 v[2:2 * n_ok + 1:2])
+            s = 1
+            while s < n_ok:
+                x, y = n[:, :, s:], n[:, :, :-s]
+                n[:, :, s:] = x + y + (x[:, :1] * y[:1] + x[:, 1:] * y[1:])
+                s *= 2
+            eps, epsd = np.empty(n_ok + 1, complex), np.empty(n_ok + 1, complex)
+            eps[0], epsd[0] = 1.0, 1j
+            eps.real[1:], eps.imag[1:] = 1.0 + n[0, 0], n[0, 1]
+            epsd.real[1:], epsd.imag[1:] = n[1, 0], 1.0 + n[1, 1]
+            w = eps.real[1:] * epsd.imag[1:] - eps.imag[1:] * epsd.real[1:]
     except MemoryError:
         raise InvalidArgumentError(
             f"{n_full} steps of dt = {spec.dt!r} do not fit in memory; "
             "raise dt") from None
-    stages[0] = 0.0
-    stages[2::2] = ends
-    stages[1::2] = stages[0:-1:2] + 0.5 * h
-    stage_t = stages.tolist()
-    ws = _sample_rate(spec.omega, stages, stage_t)
-    f = _sample_rate(spec.force, stages, stage_t)
-    finite = np.isfinite(ws) & np.isfinite(f)
-    first_bad = None if finite.all() else int(np.argmin(finite))
-    n_ok = h.size if first_bad is None else max(0, (first_bad - 1) // 2)
-    # an overflow is -inf, as in Python float arithmetic
-    with np.errstate(over="ignore"):
-        v = -(ws * ws)
-
-    # The real factors are held as complex with a zero imaginary part,
-    # which is what Python promotes a float factor to, so every product is
-    # the same; complex * complex just skips the float's fallback.  Complex
-    # arithmetic never raises on inf or nan, so the loop always runs n_ok
-    # steps and the Wronskian is checked afterwards.
-    two = 2.0 + 0j
-    e, ed = 1.0 + 0j, 1j
-    es, eds = [e], [ed]
-    es_append, eds_append = es.append, eds.append
-    vc = v.astype(complex).tolist()
-    for h1, h2, h6, v0, vm, v1 in zip(
-            h[:n_ok].astype(complex).tolist(),
-            (0.5 * h[:n_ok]).astype(complex).tolist(),
-            (h[:n_ok] / 6.0).astype(complex).tolist(),
-            vc[0::2], vc[1::2], vc[2::2]):
-        b1 = v0 * e
-        e2, ed2 = e + h2 * ed, ed + h2 * b1
-        b2 = vm * e2
-        e3, ed3 = e + h2 * ed2, ed + h2 * b2
-        b3 = vm * e3
-        e4, ed4 = e + h1 * ed3, ed + h1 * b3
-        b4 = v1 * e4
-        e = e + h6 * (ed + two * ed2 + two * ed3 + ed4)
-        ed = ed + h6 * (b1 + two * b2 + two * b3 + b4)
-        es_append(e)
-        eds_append(ed)
-    eps, epsd = np.array(es), np.array(eds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = eps.real[1:] * epsd.imag[1:] - eps.imag[1:] * epsd.real[1:]
     check(np.abs(w - 1.0), _WRONSKIAN_RAISE, StepSizeError, lambda i: "Wronskian drifted to "
           f"{float(w[i])!r} at t = {stage_t[2 * i + 2]!r}; reduce dt")
     if first_bad is not None:
         raise InvalidArgumentError(
             f"omega/force not finite at t = {stage_t[first_bad]!r}")
 
-    # numpy promotes a float array factor as Python promotes a float, so
-    # these are the loop's stage values, and cumsum adds in step order.
+    # the stages of each step in RK4's operation order; cumsum adds in
+    # step order
     e, ed = eps[:-1], epsd[:-1]
     v0, vm, f0, fm, f1 = v[0:-1:2], v[1::2], f[0:-1:2], f[1::2], f[2::2]
     h2 = 0.5 * h

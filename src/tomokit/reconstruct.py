@@ -247,9 +247,17 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     unknowns (c, s) recover cos and sin of each phase difference, up to a
     standard error |A x - b| / sigma_min that must stay within 0.1.  One
     segment has no unknowns: its rows are checked by the residual alone.
+    Cuts that leave a segment with no grid sample are refused.
     """
     state = piecewise_from_position(breakpoints, position)
     k = state.n_segments
+    # segment j holds the samples in (cut j-1, cut j]
+    edges = [0, *np.searchsorted(position.grid.points, state.breakpoints,
+                                 side="right").tolist(), position.grid.n_points]
+    empty = [j for j in range(k) if edges[j] == edges[j + 1]]
+    if empty:
+        raise InvalidArgumentError(f"breakpoints {state.breakpoints.tolist()!r} leave "
+                                   f"segment(s) {empty} with no grid sample")
     pairs = _pair_list(k)
     rows = []
     rhs = []

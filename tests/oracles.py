@@ -5,6 +5,7 @@ library special functions, closed forms) and shares no code with the
 package internals.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -102,18 +103,9 @@ def dense_mixture_entropy(amplitudes, weights, dx):
     return float(-(lam * np.log(lam)).sum())
 
 
-def rk4_epsilon_delta(omega, force, t_max, dt):
-    """Classical RK4 on the stacked state (epsilon, epsilon', delta) with
-    omega and force called at every stage; returns the sample times and
-    the three complex arrays.  The steps are ``dt`` plus a short final
-    step that lands on ``t_max``."""
-
-    def rhs(t, y):
-        w = float(omega(t))
-        f = float(force(t))
-        return np.array([y[1], -(w * w) * y[0], -1j / np.sqrt(2.0) * y[0] * f],
-                        dtype=complex)
-
+def rk4_steps(t_max, dt):
+    """The step sizes: ``dt`` repeated, plus a short final step that lands
+    on ``t_max``."""
     ratio = t_max / dt
     n_full = int(round(ratio))
     if abs(ratio - n_full) > 1e-9 or n_full == 0:
@@ -122,11 +114,24 @@ def rk4_epsilon_delta(omega, force, t_max, dt):
     remainder = t_max - n_full * dt
     if remainder > 1e-12 * max(1.0, t_max):
         steps.append(remainder)
+    return steps
+
+
+def rk4_epsilon_delta(omega, force, t_max, dt):
+    """Classical RK4 on the stacked state (epsilon, epsilon', delta) with
+    omega and force called at every stage; returns the sample times and
+    the three complex arrays, over the steps of ``rk4_steps``."""
+
+    def rhs(t, y):
+        w = float(omega(t))
+        f = float(force(t))
+        return np.array([y[1], -(w * w) * y[0], -1j / np.sqrt(2.0) * y[0] * f],
+                        dtype=complex)
 
     y = np.array([1.0, 1.0j, 0.0], dtype=complex)
     times, ys = [0.0], [y]
     t = 0.0
-    for h in steps:
+    for h in rk4_steps(t_max, dt):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
@@ -138,6 +143,47 @@ def rk4_epsilon_delta(omega, force, t_max, dt):
     times[-1] = t_max
     ys = np.array(ys)
     return np.array(times), ys[:, 0], ys[:, 1], ys[:, 2]
+
+
+def rk4_reference(omega, force, t_max, dt, digits=50):
+    """The RK4 iterate of ``rk4_epsilon_delta`` in ``decimal`` arithmetic at
+    ``digits`` significant digits: the same float stage times, rate samples
+    and step sizes, each converted to Decimal exactly, so what is left is
+    the method's own result without float rounding.  The complex state is
+    carried as real and imaginary parts; returns the sample times and the
+    three arrays rounded to complex128."""
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        D = decimal.Decimal
+        drive = 1 / D(2).sqrt()
+
+        def rhs(t, y):
+            v = -D(float(omega(t))) ** 2
+            f = D(float(force(t))) * drive
+            er, ei, edr, edi = y[:4]
+            # delta' = -(i/sqrt 2) epsilon f
+            return [edr, edi, v * er, v * ei, ei * f, -er * f]
+
+        def axpy(y, a, k):
+            return [yi + a * ki for yi, ki in zip(y, k)]
+
+        y = [D(1), D(0), D(0), D(1), D(0), D(0)]
+        times, ys = [0.0], [y]
+        t = 0.0
+        for h in rk4_steps(t_max, dt):
+            hd = D(h)
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, axpy(y, hd / 2, k1))
+            k3 = rhs(t + 0.5 * h, axpy(y, hd / 2, k2))
+            k4 = rhs(t + h, axpy(y, hd, k3))
+            y = axpy(y, hd / 6, [a + 2 * b + 2 * c + d
+                                 for a, b, c, d in zip(k1, k2, k3, k4)])
+            t = t + h
+            times.append(t)
+            ys.append(y)
+    times[-1] = t_max
+    parts = np.array([[float(c) for c in y] for y in ys])
+    return (np.array(times), parts[:, 0] + 1j * parts[:, 1],
+            parts[:, 2] + 1j * parts[:, 3], parts[:, 4] + 1j * parts[:, 5])
 
 
 def preset_rate(name, params):

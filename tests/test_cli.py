@@ -644,11 +644,18 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
     # the cuts' gap overflows, yet they increase: refused only for want of data
     (["reconstruct", "--in={pos}", "--breakpoints=-1e308,1e308"],
      "insufficient-data", 5),
+    # with enough extras, cuts outside the grid leave segments empty
+    (["reconstruct", "--in={three}", "--breakpoints=-100,100"],
+     "invalid-argument", 2),
+    (["reconstruct", "--in={three}", "--breakpoints=-1e308,1e308"],
+     "invalid-argument", 2),
 ])
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
     assert simulate_vacuum(pos, (1.0, 0.0)) == 0
     empty.mkdir()
+    three = tmp_path / "three"
+    assert simulate_vacuum(three, (1.0, 0.0), (0.6, 0.8), (0.6, -0.8)) == 0
     # a Gaussian slice of width 1e159 on [-1e160, 1e160], whose variance
     # overflows in x * x
     wide = tmp_path / "wide"
@@ -668,8 +675,8 @@ def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status
     io.write_wavefunction_csv(vac, core.sample_state(core.GaussianPreset(),
                                                      core.default_grid()))
     capsys.readouterr()
-    argv = [a.format(pos=pos, empty=empty, huge=huge, wide=wide, vac=vac)
-            for a in argv]
+    argv = [a.format(pos=pos, empty=empty, huge=huge, wide=wide, vac=vac,
+                     three=three) for a in argv]
     assert run(*argv, f"--out={out}") == status
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"ERROR {code}: ")

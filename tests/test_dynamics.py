@@ -128,13 +128,30 @@ def oracle_rate(rate):
     return rate
 
 
+def assert_within_rk4_error(run, ref):
+    """Each of epsilon, epsilon' and delta within sqrt(n) eps max(1, max|ref|)
+    of the reference iterate: the rounding a stepwise loop accumulates."""
+    n = ref[0].size - 1
+    for got, want in zip(run, ref):
+        bound = np.sqrt(n) * np.finfo(float).eps * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= bound
+
+
 def assert_matches_rk4_oracle(spec):
+    """The package against the stepwise float RK4 and its 50-digit iterate:
+    the same times, the float loop's first step exactly, and both within the
+    loop's rounding error of the 50-digit iterate everywhere."""
     traj = dynamics.solve_epsilon_delta(spec)
-    want = oracles.rk4_epsilon_delta(oracle_rate(spec.omega), oracle_rate(spec.force),
-                                     spec.t_max, spec.dt)
-    got = (traj.times, traj.epsilon, traj.epsilon_dot, traj.delta)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    omega, force = oracle_rate(spec.omega), oracle_rate(spec.force)
+    stepwise = oracles.rk4_epsilon_delta(omega, force, spec.t_max, spec.dt)
+    ref = oracles.rk4_reference(omega, force, spec.t_max, spec.dt)
+    run = (traj.epsilon, traj.epsilon_dot, traj.delta)
+    assert np.array_equal(traj.times, stepwise[0])
+    assert np.array_equal(traj.times, ref[0])
+    for got, want in zip(run[:2], stepwise[1:3]):
+        assert np.array_equal(got[:2], want[:2])
+    assert_within_rk4_error(run, ref[1:])
+    assert_within_rk4_error(stepwise[1:], ref[1:])
     return traj
 
 
@@ -237,6 +254,39 @@ def test_plain_callables_match_rk4_oracle_bit_for_bit():
         lambda t: 0.8 + 0.3 * np.sin(t), lambda t: 0.2 * t, 1.0005, 1e-3))
 
 
+_SLOW_PRESETS = st.one_of(
+    st.builds(dynamics.constant_rate, st.floats(0.3, 3.0)),
+    st.builds(dynamics.linear_ramp, _SLOW_RATES, st.floats(-0.2, 0.3)),
+    st.builds(dynamics.cosine_modulated, _SLOW_RATES, st.floats(0.0, 0.5),
+              st.floats(0.2, 3.0)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(omega=_SLOW_PRESETS,
+       force=st.one_of(
+           st.builds(dynamics.constant_rate, st.floats(-1.0, 1.0)),
+           st.builds(dynamics.cosine_modulated, st.floats(-1.0, 1.0),
+                     st.floats(0.0, 0.5), st.floats(0.2, 3.0))),
+       dt=st.floats(5e-4, 5e-3), t_max=st.floats(0.5, 3.0))
+# every step matrix equal: a scan that stores M = I + N rounds 1 + N the
+# same way in every step, so its error grows with n, not sqrt(n)
+@example(omega=dynamics.constant_rate(1.3), force=dynamics.constant_rate(0.0),
+         dt=1e-3, t_max=2.5)
+def test_step_product_stays_within_the_loops_rounding(omega, force, dt, t_max):
+    spec = OscillatorSpec(omega, force, t_max, dt)
+    traj = dynamics.solve_epsilon_delta(spec)
+    omega, force = oracle_rate(omega), oracle_rate(force)
+    ref = oracles.rk4_reference(omega, force, t_max, dt)
+    stepwise = oracles.rk4_epsilon_delta(omega, force, t_max, dt)
+    n = ref[0].size - 1
+    # RK4 does not keep W = 1 exactly; the iterate's own W is the reference
+    w_ref = np.imag(np.conj(ref[1]) * ref[2])
+    w_bound = np.sqrt(n) * np.finfo(float).eps * max(1.0, np.max(np.abs(ref[1]))) ** 2
+    for run in ((traj.epsilon, traj.epsilon_dot, traj.delta), stepwise[1:]):
+        assert_within_rk4_error(run, ref[1:])
+        assert np.max(np.abs(np.imag(np.conj(run[0]) * run[1]) - w_ref)) <= w_bound
+
+
 def stage_times(t_max, dt):
     """The stage times at which solve_epsilon_delta samples the rates."""
     seen = []
@@ -279,7 +329,7 @@ def test_preset_sample_equals_scalar_calls(rate, t_max, dt):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("omega, t_max, dt, error, message", [
     (lambda t: 1.0 if t < 1.0 else 30.0, 60.0, 0.05, StepSizeError,
-     "Wronskian drifted to 1.0000778388206846 at t = 1.0000000000000002; "
+     "Wronskian drifted to 1.0000778388206832 at t = 1.0000000000000002; "
      "reduce dt (limit 1e-06)"),
     (dynamics.linear_ramp(1.0, 20.0), 60.0, 0.05, StepSizeError,
      "Wronskian drifted to 0.9999988642462881 at t = 0.1; reduce dt (limit 1e-06)"),
