@@ -120,7 +120,7 @@ def _resolve_state(spec: str | None,
                 f"--grid={grid.x_min!r},{grid.x_max!r},{grid.n_points} does not "
                 f"describe the grid {g.x_min!r},{g.x_max!r},{g.n_points} of "
                 f"state file {spec!r}")
-        core._check_sampling(psi.amplitudes, f"state file {spec!r}")
+        core._admit(psi.amplitudes, f"state file {spec!r}")
         return psi
     raise InvalidArgumentError(
         f"state {spec!r} is neither a preset (vacuum, gaussian:x0,p0,sigma, "

@@ -139,18 +139,26 @@ class MeasurementSet:
         return len(self.slices)
 
 
-# Per-slice [variance] or [variance, KS distance].  A slice holds its own read-only
+# Per-slice (variance, KS distance or None).  A slice holds its own read-only
 # density on a frozen grid, so these never change; a weak key drops them with it.
 _STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _trapezoid(y: np.ndarray, dx: float) -> float:
+    """Trapezoid integral of samples on a uniform grid of spacing dx; the
+    interior is summed apart, so an infinite end sample gives inf, not nan."""
+    return float(dx * (y[1:-1].sum() + 0.5 * (y[0] + y[-1])))
+
+
 def slice_variance(s: TomogramSlice) -> float:
     """Second moment of the slice density about zero; inf or nan where
-    ``x * x`` overflows."""
+    ``x * x`` overflows.  Memoised with the KS distance to the Gaussian it
+    predicts, formed with it for a positive, finite variance; a slice
+    narrower than dx raises ModelMismatchError (see :func:`_ks_distance`)."""
     if s not in _STATS:
-        x = s.grid.points
         with np.errstate(over="ignore", invalid="ignore"):
-            _STATS[s] = [float(np.trapezoid(x * x * s.density, x))]
+            v = _trapezoid(s.grid.points ** 2 * s.density, s.grid.dx)
+        _STATS[s] = (v, _ks_distance(s, v) if 0.0 < v < math.inf else None)
     return _STATS[s][0]
 
 
@@ -165,12 +173,22 @@ def _ks_distance(s: TomogramSlice, variance: float) -> float:
     uniform grid that is a cumulative sum less half of the first and the
     current sample.  Arithmetic that overflows gives nan, which the
     caller's check rejects.
+
+    A model whose standard deviation is below dx raises
+    ModelMismatchError before any value is formed.  By Poisson summation
+    the trapezoid sum of a Gaussian pdf misses 1 by about
+    2 exp(-2 pi^2 sd^2 / dx^2): 5.4e-9 at sd = dx, but 1.4e-2 at
+    sd = dx/2; narrower still, the running integral of the pdf is
+    quadrature error, not a CDF, and the "distance" reaches 2.6e5.
     """
     x, dx, d = s.grid.points, s.grid.dx, s.density
+    spacing = dx / math.sqrt(variance)
+    check(spacing, 1.0, ModelMismatchError, lambda: f"slice at ({s.mu!r}, {s.nu!r}) is "
+          f"narrower than dx: dx is {spacing:.3g} standard deviations")
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(-(x * x) / (2.0 * variance))
         g *= -1.0 / math.sqrt(2.0 * math.pi * variance)
-        g += d * (1.0 / (dx * (d.sum() - 0.5 * (d[0] + d[-1]))))
+        g += d * (1.0 / _trapezoid(d, dx))
         run = np.cumsum(g)
         run -= 0.5 * g
         start = 0.5 * (1.0 + math.erf(x[0] / math.sqrt(2.0 * variance)))
@@ -204,8 +222,9 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
     None rather than as a min-norm guess.  One SVD of the direction rows
     gives the rank (singular values above 1e-10 of the largest), the
     span and the min-norm solution truncated at that rank.  A variance
-    that is not positive and finite, or a KS distance that is not at most
-    0.01 (nan included), raises ModelMismatchError.  A direction whose
+    that is not positive and finite, a slice narrower than dx, or a KS
+    distance that is not at most 0.01 (nan included), raises
+    ModelMismatchError.  A direction whose
     row (mu^2, 2 mu nu, nu^2) overflows raises InvalidArgumentError.
     """
     if len(mset) == 0:
@@ -225,15 +244,13 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
     v = np.empty(len(mset))
     for i, s in enumerate(mset.slices):
         v[i] = slice_variance(s)
-        if not 0.0 < v[i] < math.inf:
+        ks = _STATS[s][1]
+        if ks is None:
             raise ModelMismatchError(
                 f"slice at ({s.mu!r}, {s.nu!r}) has nonpositive variance "
                 f"or one that overflows: {float(v[i])!r}")
-        stats = _STATS[s]
-        if len(stats) == 1:
-            stats.append(_ks_distance(s, v[i]))
-        check(stats[1], _KS_LIMIT, ModelMismatchError, lambda: f"slice at ({s.mu!r}, "
-              f"{s.nu!r}) is not a zero-mean Gaussian: KS distance {stats[1]:.3f}")
+        check(ks, _KS_LIMIT, ModelMismatchError, lambda: f"slice at ({s.mu!r}, "
+              f"{s.nu!r}) is not a zero-mean Gaussian: KS distance {ks:.3f}")
     u, sv, vt = np.linalg.svd(rows)
     rank = int(np.sum(sv > sv[0] * 1e-10))
     sol = vt[:rank].T @ ((u[:, :rank].T @ v) / sv[:rank])

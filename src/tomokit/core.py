@@ -200,29 +200,28 @@ def _hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _check_boundary(amps: np.ndarray, what: str) -> None:
-    peak = np.abs(amps).max()  # 0 if every amplitude underflowed; WaveFunction rejects it
-    edge = max(abs(amps[0]), abs(amps[-1])) / peak if peak > 0 else 0.0
-    check(edge, _BOUNDARY_LEAK_REL, BoundaryLeakWarning, lambda: f"{what}: boundary "
-          f"amplitude {edge:.2e} of peak; grid may be too narrow")
-
-
-def _check_sampling(amps: np.ndarray, what: str) -> None:
+def _admit(amps: np.ndarray, what: str) -> None:
+    """The one admission rule for a sampled state, run on its amplitudes as
+    sampled or read, never re-normalised: more than 1e-6 of the spectral
+    energy at frequencies of at least a quarter per sample raises
+    ResolutionError, then an edge amplitude above 1e-8 of the peak warns
+    with BoundaryLeakWarning at the line that called the public function."""
     power = np.abs(np.fft.fft(amps)) ** 2
     total = power.sum()  # 0 if every amplitude underflowed; WaveFunction rejects it
     share = power[np.abs(np.fft.fftfreq(amps.size)) >= 0.25].sum() / total if total else 0.0
     check(share, _ALIAS_SHARE_LIMIT, ResolutionError, lambda: f"{what}: {share:.2e} of the "
           "spectral energy lies in the upper half of the band; the grid under-resolves "
           f"the state, suggest n_points >= {2 * amps.size}")
+    peak = np.abs(amps).max()
+    edge = max(abs(amps[0]), abs(amps[-1])) / peak if peak > 0 else 0.0
+    check(edge, _BOUNDARY_LEAK_REL, BoundaryLeakWarning, lambda: f"{what}: boundary "
+          f"amplitude {edge:.2e} of peak; grid may be too narrow")
 
 
 def sample_state(preset: GaussianPreset | FockPreset, grid: SpatialGrid) -> WaveFunction:
     """Realize a preset on a grid as a normalized WaveFunction.
 
-    Raises :class:`ResolutionError` when more than 1e-6 of the spectral
-    energy lies at frequencies of at least a quarter per sample, and warns
-    with :class:`BoundaryLeakWarning` when the boundary amplitude exceeds
-    1e-8 of the peak.
+    The samples pass the admission rule of :func:`_admit` first.
     """
     x = grid.points
     if isinstance(preset, GaussianPreset):
@@ -237,6 +236,5 @@ def sample_state(preset: GaussianPreset | FockPreset, grid: SpatialGrid) -> Wave
         amps = _hermite_functions(preset.n, x)[preset.n].astype(np.complex128)
     else:
         raise InvalidArgumentError(f"unknown state preset {preset!r}")
-    _check_sampling(amps, f"sample_state({preset!r})")
-    _check_boundary(amps, f"sample_state({preset!r})")
+    _admit(amps, f"sample_state({preset!r})")
     return WaveFunction(grid, amps)

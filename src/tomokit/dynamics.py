@@ -193,20 +193,27 @@ def _sample_rate(rate: Callable[[float], float], stages: np.ndarray,
     return np.fromiter(map(float, map(rate, stage_t)), float, len(stage_t))
 
 
-def _step_increments(h, v0, vm, v1) -> np.ndarray:
-    """N with M = I + N the RK4 step of (epsilon, epsilon'), (2, 2, steps):
-    the stage formulas run once on each basis column (1, 0) and (0, 1)."""
-    e, ed = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-    h2, h6 = 0.5 * h, h / 6.0
+def _stages(h, v0, vm, e, ed):
+    """RK4's stage values e2, e3, e4 of epsilon from (e, ed) at each step's
+    start, with v = -omega^2 at its start and midpoint, and the
+    accelerations b1, b2 and slopes ed2, ed3 formed on the way."""
+    h2 = 0.5 * h
     b1 = v0 * e
     e2, ed2 = e + h2 * ed, ed + h2 * b1
     b2 = vm * e2
     e3, ed3 = e + h2 * ed2, ed + h2 * b2
+    return e2, e3, e + h * ed3, (b1, b2, ed2, ed3)
+
+
+def _step_increments(h, v0, vm, v1) -> np.ndarray:
+    """N with M = I + N the RK4 step of (epsilon, epsilon'), (2, 2, steps):
+    the stages run once on each basis column (1, 0) and (0, 1)."""
+    e, ed = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    e2, e3, e4, (b1, b2, ed2, ed3) = _stages(h, v0, vm, e, ed)
     b3 = vm * e3
-    e4, ed4 = e + h * ed3, ed + h * b3
-    b4 = v1 * e4
-    return np.stack((h6 * (ed + 2.0 * ed2 + 2.0 * ed3 + ed4),
-                     h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)))
+    ed4, b4 = ed + h * b3, v1 * e4
+    return h / 6.0 * np.stack((ed + 2.0 * ed2 + 2.0 * ed3 + ed4,
+                               b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
 
 def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
@@ -280,14 +287,10 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
         raise InvalidArgumentError(
             f"omega/force not finite at t = {stage_t[first_bad]!r}")
 
-    # the stages of each step in RK4's operation order; cumsum adds in
-    # step order
-    e, ed = eps[:-1], epsd[:-1]
-    v0, vm, f0, fm, f1 = v[0:-1:2], v[1::2], f[0:-1:2], f[1::2], f[2::2]
-    h2 = 0.5 * h
-    e2 = e + h2 * ed
-    e3 = e + h2 * (ed + h2 * (v0 * e))
-    e4 = e + h * (ed + h2 * (vm * e2))
+    # the stages the steps ran, on the complex (epsilon, epsilon'); cumsum
+    # adds in step order
+    e, f0, fm, f1 = eps[:-1], f[0:-1:2], f[1::2], f[2::2]
+    e2, e3, e4, _ = _stages(h, v[0:-1:2], v[1::2], e, epsd[:-1])
     drive = -1j / np.sqrt(2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         c = (drive * e * f0 + 2.0 * (drive * e2 * fm) + 2.0 * (drive * e3 * fm)

@@ -251,10 +251,8 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     """
     state = piecewise_from_position(breakpoints, position)
     k = state.n_segments
-    # segment j holds the samples in (cut j-1, cut j]
-    edges = [0, *np.searchsorted(position.grid.points, state.breakpoints,
-                                 side="right").tolist(), position.grid.n_points]
-    empty = [j for j in range(k) if edges[j] == edges[j + 1]]
+    seg = _segment_index(state.breakpoints, position.grid.points)
+    empty = np.flatnonzero(np.bincount(seg, minlength=k) == 0).tolist()
     if empty:
         raise InvalidArgumentError(f"breakpoints {state.breakpoints.tolist()!r} leave "
                                    f"segment(s) {empty} with no grid sample")

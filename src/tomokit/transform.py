@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SpatialGrid, WaveFunction, _check_boundary
+from .core import SpatialGrid, WaveFunction, _admit
 from .errors import InvalidArgumentError, InvalidCovarianceError, ResolutionError, check
 
 __all__ = [
@@ -346,7 +346,8 @@ def sample_pure_gaussian(state: GaussianState, grid: SpatialGrid) -> WaveFunctio
     """Realize a pure Gaussian state (determinant exactly 1/4) on a grid.
 
     The wavefunction exp(-(alpha + i beta) x^2 / 2) with alpha = 1/(2 sigma_xx)
-    and beta = -sigma_xp/sigma_xx reproduces all three covariances.
+    and beta = -sigma_xp/sigma_xx reproduces all three covariances.  The
+    samples pass the admission rule of ``sample_state`` first.
     """
     if abs(state.determinant - 0.25) > 1e-8:
         raise InvalidArgumentError(
@@ -356,5 +357,5 @@ def sample_pure_gaussian(state: GaussianState, grid: SpatialGrid) -> WaveFunctio
     x = grid.points
     with np.errstate(over="ignore", invalid="ignore"):  # exp(-inf + i nan) = 0
         amps = np.exp(-0.5 * (alpha + 1j * beta) * x ** 2)
-    _check_boundary(amps, f"sample_pure_gaussian({state!r})")
+    _admit(amps, f"sample_pure_gaussian({state!r})")
     return WaveFunction(grid, amps)

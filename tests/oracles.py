@@ -40,6 +40,12 @@ def gaussian_slice_density(sigma_xx, sigma_pp, sigma_xp, mu, nu, X):
     return np.exp(-X ** 2 / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
 
 
+def uniform_trapezoid(y, dx):
+    """Trapezoid rule on a uniform grid: dx times the interior sum plus
+    half of each end sample."""
+    return float(dx * (np.sum(y[1:-1]) + (y[0] + y[-1]) / 2.0))
+
+
 def ks_distance_two_integrals(density, x, variance):
     """Largest gap between a density's CDF and the zero-mean Gaussian CDF,
     each a running trapezoid integral of its own: the density's normalised

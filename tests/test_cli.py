@@ -529,6 +529,25 @@ def test_evolve_undersampled_state_file_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_edge_cut_state_file_warns_as_its_preset_does(tmp_path):
+    # a Gaussian of sigma 1.6 on [-12, 12] keeps 7.8e-7 of its peak at the edge
+    with pytest.warns(core.BoundaryLeakWarning):
+        psi = core.sample_state(core.GaussianPreset(sigma=1.6), core.default_grid())
+    path = tmp_path / "wide.csv"
+    io.write_wavefunction_csv(path, psi)
+    outs = []
+    for state, what in [("gaussian:0,0,1.6", "sample_state"), (str(path), "state file")]:
+        outs.append(tmp_path / f"out{len(outs)}")
+        with pytest.warns(core.BoundaryLeakWarning, match=f"^{what}.* boundary "
+                          r"amplitude 7\.81e-07 of peak") as record:
+            assert run("simulate", f"--state={state}", "--direction=1,0",
+                       "--direction=0.6,0.8", f"--out={outs[-1]}") == 0
+        assert len(record) == 1
+    # the file state is used as read, so its slices are the preset's
+    for name in ("slice_000.csv", "slice_001.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("verb", [
     ["simulate", "--direction=1,0"],
     ["evolve", "--omega=constant:1", "--t-max=1", "--dt=1e-3", "--recover-at=0.5"],

@@ -324,12 +324,44 @@ def _ks_cases(draw):
     return s, float(np.trapezoid(x * x * s.density, x)) * draw(st.floats(0.5, 2.0))
 
 
+def _narrow_case():
+    """A Gaussian of width 0.5 on a grid with dx = 3.75, against a model of
+    twice its variance: unrefused, its "distance" read 255355.09123245."""
+    grid = core.make_grid(-30.0, 30.0, 17)
+    x = grid.points
+    density = np.exp(-0.5 * (x / 0.5) ** 2)
+    s = TomogramSlice(1.0, 0.0, grid, density / (density.sum() * grid.dx))
+    return s, float(np.trapezoid(x * x * s.density, x)) * 2.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_ks_cases())
+@example(case=_narrow_case())
 def test_ks_distance_is_the_gap_of_two_running_integrals(case):
+    # a model narrower than dx is refused before any value is formed
     s, variance = case
+    if s.grid.dx / np.sqrt(variance) > 1.0:
+        with pytest.raises(ModelMismatchError, match="narrower than dx"):
+            completeness._ks_distance(s, variance)
+        return
     want = oracles.ks_distance_two_integrals(s.density, s.grid.points, variance)
     assert abs(completeness._ks_distance(s, variance) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [0.9, 1.1])
+def test_slice_narrower_than_dx_is_a_model_mismatch(ratio):
+    # a sampled Gaussian of standard deviation ratio * dx, normalised on the grid
+    grid = core.make_grid(-12.0, 12.0, 2048)
+    sd = ratio * grid.dx
+    density = np.exp(-0.5 * (grid.points / sd) ** 2)
+    s = TomogramSlice(1.0, 0.0, grid, density / (density.sum() * grid.dx))
+    mset = MeasurementSet((s,))
+    if ratio < 1.0:
+        with pytest.raises(ModelMismatchError, match=r"narrower than dx: dx is 1\.11 "):
+            completeness.covariance_from_tomograms(mset)
+    else:
+        est = completeness.covariance_from_tomograms(mset)
+        assert est.sigma_xx == pytest.approx(sd * sd, rel=1e-9)
 
 
 def _lstsq_fit(slices):
@@ -417,7 +449,7 @@ def test_fits_do_not_depend_on_slice_identity_or_call_history(grid, sxx, sxp,
                       for s in bank]) == first
     x = grid.points
     assert [completeness.slice_variance(s) for s in bank] == [
-        float(np.trapezoid(x * x * s.density, x)) for s in bank]
+        oracles.uniform_trapezoid(x * x * s.density, grid.dx) for s in bank]
 
 
 # ---------------------------------------------------------------- report

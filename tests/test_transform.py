@@ -350,10 +350,19 @@ def test_sample_pure_gaussian_where_squares_overflow(x_min):
     with pytest.warns(core.BoundaryLeakWarning) as record:
         transform.sample_pure_gaussian(state, narrow)
     assert [w.filename for w in record] == [__file__]
-    # exp(-inf + i nan) is 0, with no numpy warning
-    with pytest.warns(core.BoundaryLeakWarning):
-        psi = transform.sample_pure_gaussian(state, core.make_grid(x_min, 12.0, 256))
-    assert np.all(psi.amplitudes[:-1] == 0.0)
+    # exp(-inf + i nan) is 0, with no numpy warning: one nonzero sample is
+    # refused as under-resolved, as sample_state refuses it on this grid
+    with pytest.raises(ResolutionError, match="of the spectral energy"):
+        transform.sample_pure_gaussian(state, core.make_grid(x_min, 12.0, 256))
+
+
+def test_sample_pure_gaussian_refuses_an_aliased_chirp(grid):
+    # exp(50 i x^2) runs at 1200 rad per unit at the edge, past the grid's
+    # Nyquist rate of 268: unrefused, the slice at (1, 1e-3) had variance
+    # 1.186 against the closed form's 1.210
+    chirp = GaussianState(1.0, 10000.25, 100.0)
+    with pytest.raises(ResolutionError, match=r"^sample_pure_gaussian\(.*n_points >= 4096"):
+        transform.sample_pure_gaussian(chirp, grid)
 
 
 def test_fresnel_matches_transform_path(grid, vacuum):
