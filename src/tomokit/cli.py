@@ -90,6 +90,22 @@ def _parse_rate(flag: str):
     return parse
 
 
+def _state_file(path: str, what: str, grid: core.SpatialGrid | None,
+                against: str) -> core.WaveFunction:
+    """The state in file ``path``, named ``what``, as read: a given ``grid``,
+    named ``against``, must describe the file's grid, and the amplitudes
+    pass the admission rule of :func:`core._admit`."""
+    psi = io.read_wavefunction_csv(path)
+    g = psi.grid
+    if grid is not None and not io.same_grid(grid, g):
+        raise InvalidArgumentError(
+            f"{against}{grid.x_min!r},{grid.x_max!r},{grid.n_points} does not "
+            f"describe the grid {g.x_min!r},{g.x_max!r},{g.n_points} of "
+            f"{what} {path!r}")
+    core._admit(psi.amplitudes, f"{what} {path!r}")
+    return psi
+
+
 def _resolve_state(spec: str | None,
                    grid: core.SpatialGrid | None) -> core.WaveFunction:
     """A preset sampled on ``grid`` (default_grid() when None), or a file
@@ -113,15 +129,7 @@ def _resolve_state(spec: str | None,
             raise InvalidArgumentError("--state fock wants fock:n") from None
         return core.sample_state(core.FockPreset(n), on)
     if os.path.isfile(spec):
-        psi = io.read_wavefunction_csv(spec)
-        g = psi.grid
-        if grid is not None and not io.same_grid(grid, g):
-            raise InvalidArgumentError(
-                f"--grid={grid.x_min!r},{grid.x_max!r},{grid.n_points} does not "
-                f"describe the grid {g.x_min!r},{g.x_max!r},{g.n_points} of "
-                f"state file {spec!r}")
-        core._admit(psi.amplitudes, f"state file {spec!r}")
-        return psi
+        return _state_file(spec, "state file", grid, "--grid=")
     raise InvalidArgumentError(
         f"state {spec!r} is neither a preset (vacuum, gaussian:x0,p0,sigma, "
         "fock:n) nor an existing file")
@@ -207,11 +215,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
                "condition_estimate": result.condition_estimate,
                "status": result.status}
     if args.truth is not None:
-        truth = io.read_wavefunction_csv(args.truth)
-        if not io.same_grid(truth.grid, position.grid):
-            raise InvalidArgumentError(
-                "truth state and slices live on different grids")
-        truth = core.WaveFunction(position.grid, truth.amplitudes, normalize=False)
+        read = _state_file(args.truth, "truth file", position.grid, "the slices' grid ")
+        truth = core.WaveFunction(position.grid, read.amplitudes, normalize=False)
         rebuilt = reconstruct.assemble_state(
             reconstruct.piecewise_from_position(bps, position, result.phases),
             position.grid)

@@ -19,7 +19,8 @@ from . import core
 from .errors import (InconsistentTomogramsError, InsufficientDataError,
                      InvalidArgumentError, InvalidCovarianceError,
                      ModelMismatchError, NumericalError, UnsupportedError, check)
-from .transform import _LINE_ATOL, GaussianState, TomogramSlice
+from .transform import (_LINE_ATOL, GaussianState, TomogramSlice, _check_width,
+                        _variance_row)
 
 _KS_LIMIT = 0.01
 _FIT_RESIDUAL_LIMIT = 1e-3
@@ -182,9 +183,7 @@ def _ks_distance(s: TomogramSlice, variance: float) -> float:
     quadrature error, not a CDF, and the "distance" reaches 2.6e5.
     """
     x, dx, d = s.grid.points, s.grid.dx, s.density
-    spacing = dx / math.sqrt(variance)
-    check(spacing, 1.0, ModelMismatchError, lambda: f"slice at ({s.mu!r}, {s.nu!r}) is "
-          f"narrower than dx: dx is {spacing:.3g} standard deviations")
+    _check_width(s.mu, s.nu, dx, variance, ModelMismatchError)
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(-(x * x) / (2.0 * variance))
         g *= -1.0 / math.sqrt(2.0 * math.pi * variance)
@@ -229,18 +228,12 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
     """
     if len(mset) == 0:
         raise InvalidArgumentError("empty measurement set")
-    rows = []
-    for s in mset.slices:
-        try:
-            row = [s.mu ** 2, 2.0 * s.mu * s.nu, s.nu ** 2]
-        except OverflowError:  # mu ** 2 or nu ** 2
-            row = [math.inf]
-        if not all(map(math.isfinite, row)):
+    rows = np.array([_variance_row(s.mu, s.nu) for s in mset.slices])
+    for s, finite in zip(mset.slices, np.isfinite(rows).all(axis=1)):
+        if not finite:
             raise InvalidArgumentError(
                 f"direction ({s.mu!r}, {s.nu!r}) overflows the variance "
                 "system; use a shorter direction")
-        rows.append(row)
-    rows = np.array(rows)
     v = np.empty(len(mset))
     for i, s in enumerate(mset.slices):
         v[i] = slice_variance(s)
@@ -296,7 +289,8 @@ def _oblique_residual(mset, sxx, sxp, spp) -> float:
     for s in mset.slices:
         if 0.0 in s.line:  # position or momentum
             continue
-        pred = sxx * s.mu ** 2 + 2.0 * sxp * s.mu * s.nu + spp * s.nu ** 2
+        a, b, c = _variance_row(s.mu, s.nu)
+        pred = sxx * a + sxp * b + spp * c
         total += abs(pred - slice_variance(s))
     return total
 

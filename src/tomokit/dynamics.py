@@ -83,15 +83,8 @@ def cosine_modulated(base: float, depth: float, rate: float) -> Callable[[float]
     """Preset: t -> base * (1 + depth * cos(rate * t)); nan where rate * t
     overflows."""
     base, depth, rate = float(base), float(depth), float(rate)
-
-    def formula(ts):
-        # math.cos elementwise: np.cos need not match libm
-        arg = rate * ts
-        finite = np.isfinite(arg)
-        c = np.fromiter(map(math.cos, np.where(finite, arg, 0.0).ravel().tolist()),
-                        float, arg.size).reshape(arg.shape)
-        return np.where(finite, base * (1.0 + depth * c), math.nan)
-    return _Preset("cosine-modulated", (base, depth, rate), formula)
+    return _Preset("cosine-modulated", (base, depth, rate),
+                   lambda ts: base * (1.0 + depth * np.cos(rate * ts)))
 
 
 _PRESETS = {

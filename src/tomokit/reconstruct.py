@@ -287,11 +287,13 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     return sol.reshape(-1, 2), residual, cond, status, k
 
 
-def _recover(position: TomogramSlice, extras, bp: np.ndarray, needed: int,
-             shortfall: str, project: bool) -> PhaseRecoveryResult:
+def _recover(position: TomogramSlice, extras, bp: np.ndarray,
+             project: bool) -> PhaseRecoveryResult:
     """The one phase solver behind both entry points: check the inputs, fit
     every segment count (one included) against the extra slices, optionally
-    project the solved products onto the unit circle, read off the phases."""
+    project the solved products onto the unit circle, read off the phases.
+    Nodes need one extra slice per cut; a projected fragmentation needs one
+    per segment."""
     _require_position(position)
     extras = list(extras)
     for s in extras:
@@ -300,7 +302,10 @@ def _recover(position: TomogramSlice, extras, bp: np.ndarray, needed: int,
         if s.line[1] == 0.0:
             raise InvalidArgumentError(
                 f"slice at ({s.mu!r}, {s.nu!r}) carries no phase information")
+    needed = bp.size + project
     if len(extras) < needed:
+        shortfall = (f"{needed} segments need at least {needed} slices" if project else
+                     f"{needed} nodes need at least {needed} extra slices")
         raise InsufficientDataError(f"{shortfall}, got {len(extras)}")
     if not extras:
         return PhaseRecoveryResult(np.zeros(1), 0.0, 1.0, "ok")
@@ -325,10 +330,7 @@ def recover_phases_nodes(position: TomogramSlice, extras,
     pairwise products exp(i(phi_p - phi_q)) are solved for directly as
     complex unknowns; no unit-modulus constraint is imposed.
     """
-    bp = np.asarray(breakpoints, dtype=float)
-    return _recover(position, extras, bp, bp.size,
-                    f"{bp.size} nodes need at least {bp.size} extra slices",
-                    project=False)
+    return _recover(position, extras, np.asarray(breakpoints, dtype=float), project=False)
 
 
 def recover_phases_piecewise(fragmentation, position: TomogramSlice,
@@ -340,7 +342,4 @@ def recover_phases_piecewise(fragmentation, position: TomogramSlice,
     the unit circle; a solution further than 0.1 from it means the slices
     are inconsistent with the fragmentation.
     """
-    bp = np.asarray(fragmentation, dtype=float)
-    k = bp.size + 1
-    return _recover(position, slices, bp, k,
-                    f"{k} segments need at least {k} slices", project=True)
+    return _recover(position, slices, np.asarray(fragmentation, dtype=float), project=True)

@@ -317,23 +317,37 @@ def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
     return TomogramSlice(mu, nu, grid, density)
 
 
+def _variance_row(mu: float, nu: float) -> tuple[float, float, float]:
+    """The coefficients of (sigma_xx, sigma_xp, sigma_pp) in the variance
+    v = sigma_xx mu^2 + 2 sigma_xp mu nu + sigma_pp nu^2 of the quadrature
+    mu*x + nu*p; products of floats, so an overflow is inf or nan."""
+    return mu * mu, 2.0 * mu * nu, nu * nu
+
+
+def _check_width(mu: float, nu: float, dx: float, variance: float, error) -> None:
+    """The one resolution rule for a Gaussian slice of positive ``variance``
+    at (mu, nu): a standard deviation below the spacing dx raises ``error``."""
+    spacing = dx / math.sqrt(variance)
+    check(spacing, 1.0, error, lambda: f"slice at ({mu!r}, {nu!r}) is "
+          f"narrower than dx: dx is {spacing:.3g} standard deviations")
+
+
 def tomogram_gaussian(state: GaussianState, mu: float, nu: float,
                       grid: SpatialGrid) -> TomogramSlice:
     """Closed-form Gaussian tomogram with variance
     v = sigma_xx mu^2 + 2 sigma_xp mu nu + sigma_pp nu^2.  A v that is
-    not finite raises ResolutionError: no grid extent holds it."""
+    not finite raises ResolutionError: no grid extent holds it; so does a
+    slice narrower than dx (see :func:`_check_width`)."""
     mu, nu = _direction(mu, nu)
-    try:
-        v = (state.sigma_xx * mu ** 2 + 2.0 * state.sigma_xp * mu * nu
-             + state.sigma_pp * nu ** 2)
-    except OverflowError:
-        v = math.inf
+    a, b, c = _variance_row(mu, nu)
+    v = state.sigma_xx * a + state.sigma_xp * b + state.sigma_pp * c
     if not math.isfinite(v):
         raise ResolutionError(
             f"quadrature variance at ({mu!r}, {nu!r}) overflows")
     if v <= 0.0:
         raise InvalidCovarianceError(
             f"quadrature variance {v!r} not positive at ({mu!r}, {nu!r})")
+    _check_width(mu, nu, grid.dx, v, ResolutionError)
     x = grid.points
     density = np.exp(-x ** 2 / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
     integral = float(density.sum() * grid.dx)

@@ -548,6 +548,56 @@ def test_edge_cut_state_file_warns_as_its_preset_does(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_edge_cut_truth_file_warns_as_its_state_file_does(tmp_path):
+    # --truth reads its file through the rule --state reads it through
+    with pytest.warns(core.BoundaryLeakWarning):
+        psi = core.sample_state(core.GaussianPreset(sigma=1.6), core.default_grid())
+    path, sim, rec = tmp_path / "wide.csv", tmp_path / "sim", tmp_path / "rec"
+    io.write_wavefunction_csv(path, psi)
+    with pytest.warns(core.BoundaryLeakWarning, match="^state file"):
+        assert run("simulate", f"--state={path}", "--direction=1,0",
+                   "--direction=0.6,0.8", f"--out={sim}") == 0
+    with pytest.warns(core.BoundaryLeakWarning, match=f"^truth file {str(path)!r}: "
+                      r"boundary amplitude 7\.81e-07 of peak") as record:
+        assert run("reconstruct", f"--in={sim}", f"--truth={path}", f"--out={rec}") == 0
+    assert len(record) == 1
+    with open(rec / "reconstruction.json") as fh:
+        assert json.load(fh)["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_aliased_truth_file_exits_4(tmp_path, capsys):
+    # vacuum plus 1e-2 of it at the Nyquist frequency: 1e-4 of the
+    # spectral energy in the upper half of the band
+    grid = core.default_grid()
+    vac = core.sample_state(core.GaussianPreset(), grid).amplitudes
+    path, sim, rec = tmp_path / "alias.csv", tmp_path / "sim", tmp_path / "rec"
+    io.write_wavefunction_csv(path, core.WaveFunction(
+        grid, vac * (1.0 + 1e-2 * (-1.0) ** np.arange(grid.n_points))))
+    assert run("simulate", "--state=vacuum", "--direction=1,0", "--direction=0.6,0.8",
+               f"--out={sim}") == 0
+    capsys.readouterr()
+    assert run("reconstruct", f"--in={sim}", f"--truth={path}", f"--out={rec}") == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"ERROR resolution-error: truth file {str(path)!r}: ")
+    assert "of the spectral energy" in line
+    assert not rec.exists()
+
+
+def test_truth_file_on_another_grid_exits_2(tmp_path, capsys):
+    path, sim, rec = tmp_path / "vac.csv", tmp_path / "sim", tmp_path / "rec"
+    io.write_wavefunction_csv(path, core.sample_state(
+        core.GaussianPreset(), core.make_grid(-12.0, 12.0, 2048)))
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.6, 0.8)) == 0
+    capsys.readouterr()
+    assert run("reconstruct", f"--in={sim}", f"--truth={path}", f"--out={rec}") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR invalid-argument: the slices' grid -12.0,12.0,2049 "
+                           "does not describe the grid -12.0,12.0,2048 of truth file "
+                           f"{str(path)!r}")
+    assert "--grid" not in line
+    assert not rec.exists()
+
+
 @pytest.mark.parametrize("verb", [
     ["simulate", "--direction=1,0"],
     ["evolve", "--omega=constant:1", "--t-max=1", "--dt=1e-3", "--recover-at=0.5"],

@@ -293,7 +293,8 @@ def test_one_segment_contradicted_by_its_extras_is_inconsistent(grid):
 def test_recover_nodes_requires_enough_slices(grid, directions):
     psi = two_bump(grid, 1.0)
     pos = transform.tomogram(psi, 1.0, 0.0)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError,
+                       match=r"^1 nodes need at least 1 extra slices, got 0$"):
         reconstruct.recover_phases_nodes(pos, [], [0.0])
 
 
@@ -301,7 +302,8 @@ def test_recover_piecewise_requires_enough_slices(grid, directions):
     psi = two_bump(grid, 1.0)
     pos = transform.tomogram(psi, 1.0, 0.0)
     one = slices_for(psi, directions)[:1]
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError,
+                       match=r"^2 segments need at least 2 slices, got 1$"):
         reconstruct.recover_phases_piecewise([0.0], pos, one)
 
 

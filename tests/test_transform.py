@@ -326,6 +326,21 @@ def test_gaussian_tomogram_overflowing_variance(grid, state, mu, nu):
         transform.tomogram_gaussian(state, mu, nu, grid)
 
 
+@pytest.mark.parametrize("ratio", [0.9, 1.1])
+def test_gaussian_tomogram_refuses_a_slice_narrower_than_dx(grid, ratio):
+    # the analyser's width rule: a slice it would refuse is not generated
+    sxx = (ratio * grid.dx) ** 2
+    state = GaussianState(sxx, 0.25 / sxx)
+    if ratio < 1.0:
+        with pytest.raises(ResolutionError, match=r"^slice at \(1\.0, 0\.0\) is narrower "
+                           r"than dx: dx is 1\.11 standard deviations \(limit 1\.0\)$"):
+            transform.tomogram_gaussian(state, 1.0, 0.0, grid)
+    else:
+        s = transform.tomogram_gaussian(state, 1.0, 0.0, grid)
+        est = completeness.covariance_from_tomograms(completeness.MeasurementSet((s,)))
+        assert est.sigma_xx == pytest.approx(sxx, rel=1e-9)
+
+
 def test_sampled_pure_gaussian_matches_closed_form(grid):
     sxx, sxp = 0.7, 0.3
     spp = (0.25 + sxp ** 2) / sxx
