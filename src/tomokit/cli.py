@@ -220,7 +220,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
         rebuilt = reconstruct.assemble_state(
             reconstruct.piecewise_from_position(bps, position, result.phases),
             position.grid)
-        payload["fidelity"] = float(abs(truth.inner(rebuilt)) ** 2)
+        # both states have unit norm, so an excess over 1 is roundoff
+        payload["fidelity"] = min(1.0, float(abs(truth.inner(rebuilt)) ** 2))
     _publish(args.out, {"reconstruction.json": (io.write_json, payload)}, "reconstruct")
 
 

@@ -345,8 +345,10 @@ def harmonic_position_history(psi0: WaveFunction, times,
 
     The position density at time t is the initial tomogram at
     (cos omega t, sin omega t/omega), so each slice is one transform of
-    psi0, relabelled (1, 0).  The second component is written
-    t sinc(omega t/pi), which is exact at omega = 0 (free flight).  The
+    psi0, relabelled (1, 0).  Both components take the one rounded phase
+    omega*t, so the direction stays on that ellipse however large t is;
+    the second is written t sin(omega t)/(omega t), which is t when omega t
+    rounds to 0 (free flight, or a subnormal omega).  The
     transform's unitarity check raises ResolutionError when the evolved
     state leaves the grid.
     """
@@ -357,7 +359,8 @@ def harmonic_position_history(psi0: WaveFunction, times,
         raise InvalidArgumentError("history times must start at t >= 0")
     slices = []
     for t in times:
-        s = tomogram(psi0, np.cos(omega * t), t * np.sinc(omega * t / np.pi))
+        phase = omega * t
+        s = tomogram(psi0, np.cos(phase), t * (np.sin(phase) / phase) if phase else t)
         slices.append(TomogramSlice(1.0, 0.0, psi0.grid, s.density))
     return PositionHistory(times, slices)
 

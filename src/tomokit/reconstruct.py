@@ -137,10 +137,7 @@ def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
     mu, nu = _direction(mu, nu)
     if not isinstance(grid, SpatialGrid):
         raise InvalidArgumentError("grid must be a SpatialGrid")
-    # A copy, not the transform's own result: returning that made the
-    # state-tomography benchmark 4.4 % slower on 2 CPUs (10 pairs, each won
-    # by the copy); the values are the same.
-    waves = np.array(_quadrature(state.magnitudes, state.grid, mu, nu, grid))
+    waves = _quadrature(state.magnitudes, state.grid, mu, nu, grid)
     waves.flags.writeable = False
     return waves
 
@@ -241,7 +238,7 @@ def _solve(position: TomogramSlice, extras, breakpoints):
 def _fit(position: TomogramSlice, extras, breakpoints):
     """Shared least-squares assembly; returns (sol_pairs, residual, cond, status, K).
 
-    The stacked rows read
+    The rows of the one array [A | b], one block per extra slice, read
         sum_{p<q} [2 a_pq c_pq - 2 b_pq s_pq] = omega - sum_j |w_j|^2
     with a + ib the pairwise product of segment transforms, so the
     unknowns (c, s) recover cos and sin of each phase difference, up to a
@@ -257,20 +254,16 @@ def _fit(position: TomogramSlice, extras, breakpoints):
         raise InvalidArgumentError(f"breakpoints {state.breakpoints.tolist()!r} leave "
                                    f"segment(s) {empty} with no grid sample")
     pairs = _pair_list(k)
-    rows = []
-    rhs = []
-    for s in extras:
+    sizes = [s.grid.n_points for s in extras]
+    ab = np.empty((sum(sizes), 2 * len(pairs) + 1))
+    for s, block in zip(extras, np.split(ab, np.cumsum(sizes[:-1]))):
         stack = segment_transforms(state, s.grid, s.mu, s.nu)
-        diag = np.sum(np.abs(stack) ** 2, axis=0)
-        cols = np.empty((s.grid.n_points, 2 * len(pairs)))
         for i, (p, q) in enumerate(pairs):
             prod = stack[p] * np.conj(stack[q])
-            cols[:, 2 * i] = 2.0 * prod.real
-            cols[:, 2 * i + 1] = -2.0 * prod.imag
-        rows.append(cols)
-        rhs.append(s.density - diag)
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
+            block[:, 2 * i] = 2.0 * prod.real
+            block[:, 2 * i + 1] = -2.0 * prod.imag
+        block[:, -1] = s.density - np.sum(np.abs(stack) ** 2, axis=0)
+    a, b = ab[:, :-1], ab[:, -1]
     sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
     misfit = a @ sol - b
     residual = float(np.sqrt(np.mean(misfit ** 2)))

@@ -233,3 +233,32 @@ def transported_distribution(initial, state, X, mu, nu):
     shift = np.sqrt(2.0) * ((mu * eps + nu * epsd) * np.conj(delta)).real
     return float(initial(X + shift, mu * eps.real + nu * epsd.real,
                          mu * eps.imag + nu * epsd.imag))
+
+
+def ladder_moments(coeffs):
+    """Means and covariances of the state sum_n c_n |n>, from matrices of
+    x = (a + a^+)/sqrt(2) and p = i(a^+ - a)/sqrt(2) on a basis two levels
+    above the top one, where every product below is exact.
+
+    Returns (<x>, <p>, (sigma_xx, sigma_xp, sigma_pp)), sigma_xp being the
+    symmetrised <(xp + px)/2> - <x><p>.
+    """
+    c = np.concatenate([coeffs, [0.0, 0.0]]) / np.linalg.norm(coeffs)
+    a = np.diag(np.sqrt(np.arange(1.0, c.size)), 1)
+    x = (a + a.T) / np.sqrt(2.0)
+    p = 1j * (a.T - a) / np.sqrt(2.0)
+
+    def mean(op):
+        return float(np.vdot(c, op @ c).real)
+
+    mx, mp = mean(x), mean(p)
+    return mx, mp, (mean(x @ x) - mx * mx, 0.5 * mean(x @ p + p @ x) - mx * mp,
+                    mean(p @ p) - mp * mp)
+
+
+def sampled_moments(density, x):
+    """Mean and variance of a sampled density on uniform points x, as
+    Riemann sums normalised by the density's own sum."""
+    w = density / np.sum(density)
+    mean = float(np.sum(w * x))
+    return mean, float(np.sum(w * (x - mean) ** 2))

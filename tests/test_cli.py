@@ -565,6 +565,21 @@ def test_edge_cut_truth_file_warns_as_its_state_file_does(tmp_path):
         assert json.load(fh)["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fidelity_is_a_probability(tmp_path):
+    # this truth file's overlap with its own reconstruction rounds to
+    # 1.0000000000000004; the report clamps it to 1
+    with pytest.warns(core.BoundaryLeakWarning):
+        psi = core.sample_state(core.GaussianPreset(sigma=1.6), core.default_grid())
+    path, sim, rec = tmp_path / "wide.csv", tmp_path / "sim", tmp_path / "rec"
+    io.write_wavefunction_csv(path, psi)
+    with pytest.warns(core.BoundaryLeakWarning):
+        assert run("simulate", f"--state={path}", "--direction=1,0",
+                   "--direction=0.6,0.8", f"--out={sim}") == 0
+        assert run("reconstruct", f"--in={sim}", f"--truth={path}", f"--out={rec}") == 0
+    with open(rec / "reconstruction.json") as fh:
+        assert json.load(fh)["fidelity"] == 1.0
+
+
 def test_aliased_truth_file_exits_4(tmp_path, capsys):
     # vacuum plus 1e-2 of it at the Nyquist frequency: 1e-4 of the
     # spectral energy in the upper half of the band

@@ -62,6 +62,7 @@ def _accepted(make) -> bool:
 @example(values=[0.0, 1.0, math.inf])
 @example(values=[math.nan])
 @example(values=[1.0, 1.0])
+@example(values=[6.606186373092659e16])
 def test_ordered_axes_accept_exactly_the_finite_increasing_lists(values):
     # every caller of core._increasing, with every warning an error
     ordered = (all(map(math.isfinite, values))

@@ -443,6 +443,15 @@ def test_harmonic_full_period_fidelity(grid):
     assert np.max(np.abs(hist.density_at(2.0 * np.pi) - psi.density())) < 1e-10
 
 
+def test_vacuum_history_is_stationary_at_large_times(vacuum):
+    # the direction stays on the unit circle however large t is; off it,
+    # these slices were off by 3.3e-5 and 1.7
+    times = [1e12, 6.606186373092659e16]
+    hist = dynamics.harmonic_position_history(vacuum, times)
+    for t in times:
+        assert np.max(np.abs(hist.density_at(t) - vacuum.density())) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(omega=st.floats(0.0, 2.0), frac=st.floats(0.0, 1.0),
        x0=st.floats(-1.5, 1.5), p0=st.floats(-1.0, 1.0),
@@ -451,6 +460,7 @@ def test_harmonic_full_period_fidelity(grid):
 @example(omega=0.7, frac=1.0, x0=-1.0, p0=0.3, sigma=0.7)
 @example(omega=2.0, frac=0.25, x0=0.5, p0=-0.5, sigma=0.8)
 @example(omega=0.0, frac=0.5, x0=0.5, p0=0.2, sigma=0.8)
+@example(omega=5e-324, frac=0.75, x0=0.5, p0=0.2, sigma=0.8)
 def test_harmonic_history_matches_closed_form(grid, omega, frac, x0, p0, sigma):
     # t in [0, 2 pi/omega], or in [0, 2] near free flight; frac = 1/2 and 1
     # are t = pi/omega and 2 pi/omega

@@ -247,6 +247,23 @@ def test_recover_phases_piecewise_two_bump(grid, directions, phi):
     assert abs(diff - phi) < 1e-8
 
 
+def test_extras_on_another_grid_recover_the_same_phases(grid):
+    # the fit's row blocks differ in length: 2048 samples, then 1500
+    other = core.make_grid(-14.0, 14.0, 1500)
+    psi = two_bump(grid, 2.1)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    near = transform.tomogram(psi, 0.7, 0.7)
+    same = [near, transform.tomogram(psi, -0.6, 0.8)]
+    mixed = [near, transform.tomogram(two_bump(other, 2.1), -0.6, 0.8)]
+    for solve in (lambda ex: reconstruct.recover_phases_nodes(pos, ex, [0.0]),
+                  lambda ex: reconstruct.recover_phases_piecewise([0.0], pos, ex)):
+        want, got = solve(same), solve(mixed)
+        assert got.status == "ok" and got.residual < 1e-6
+        assert got.phases[0] == 0.0
+        assert abs(got.phases[1] - want.phases[1]) < 1e-9
+        assert abs(got.phases[1] - 2.1) < 1e-9
+
+
 def test_recovery_reconstructs_the_state(grid, directions):
     psi = two_bump(grid, 1.9)
     pos = transform.tomogram(psi, 1.0, 0.0)

@@ -427,6 +427,49 @@ def test_fock_slices_are_rotation_invariant(grid, n, d):
     assert np.max(np.abs(s.density - want)) < 1e-12
 
 
+def hermite_state(grid, c):
+    return core.WaveFunction(grid, sum(cn * oracles.hermite_psi(n, grid.points)
+                                       for n, cn in enumerate(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=strategies.hermite_coefficients(), d=strategies.directions(r_max=2.0))
+def test_slice_moments_are_the_quadrature_moments(grid, c, d):
+    # mean mu<x> + nu<p>, variance _variance_row(mu, nu) . (sigma_xx,
+    # sigma_xp, sigma_pp), the state's moments from its ladder matrices.
+    # Over 300 random draws the mean was off by at most 1.4e-9 and the
+    # variance by 1.5e-8 of itself (n = 6 at r = 2, whose slice tails the
+    # grid cuts at +-12); the bounds are about 4x those.
+    mu, nu = d
+    density = transform.tomogram(hermite_state(grid, c), mu, nu).density
+    mean, var = oracles.sampled_moments(density, grid.points)
+    mx, mp, sigma = oracles.ladder_moments(c)
+    want = float(np.dot(transform._variance_row(mu, nu), sigma))
+    assert abs(mean - (mu * mx + nu * mp)) < 5e-9
+    assert abs(var - want) < 5e-8 * want
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=strategies.hermite_coefficients(), d=strategies.directions(r_max=2.0))
+def test_slices_are_homogeneous(c, d):
+    # w(X; lam mu, lam nu) = w(X/lam; mu, nu)/|lam|, lam = 2 up to r = 1 and
+    # 1/2 above, so both slices keep r in [0.5, 2].  On 2049 points
+    # symmetric about 0, X = j dx and 2j dx are both samples.  Worst of 300
+    # random draws: 2.1e-13.
+    grid = core.make_grid(-12.0, 12.0, 2049)
+    psi = hermite_state(grid, c)
+    mu, nu = d
+    lam = 2.0 if np.hypot(mu, nu) <= 1.0 else 0.5
+    base = transform.tomogram(psi, mu, nu).density
+    scaled = transform.tomogram(psi, lam * mu, lam * nu).density
+    j = np.arange(-512, 513)
+    at_x, at_2x = grid.n_points // 2 + j, grid.n_points // 2 + 2 * j
+    if lam == 2.0:
+        assert np.max(np.abs(scaled[at_2x] - base[at_x] / 2.0)) < 1e-12
+    else:
+        assert np.max(np.abs(scaled[at_x] - 2.0 * base[at_2x])) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(d=strategies.directions(),
        coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
