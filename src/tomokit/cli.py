@@ -212,7 +212,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
         raise
     payload = {"phases": [float(p) for p in result.phases],
                "residual": result.residual,
-               "condition_estimate": result.condition_estimate,
+               # a singular fit estimates inf, which JSON cannot hold
+               "condition_estimate": (result.condition_estimate
+                                      if np.isfinite(result.condition_estimate) else None),
                "status": result.status}
     if args.truth is not None:
         read = _state_file(args.truth, "truth file", position.grid, "the slices' grid ")

@@ -284,37 +284,24 @@ class CompletenessReport:
                 "purity_assumed": self.purity_assumed}
 
 
-def _oblique_residual(mset, sxx, sxp, spp) -> float:
-    total = 0.0
-    for s in mset.slices:
-        if 0.0 in s.line:  # position or momentum
-            continue
-        a, b, c = _variance_row(s.mu, s.nu)
-        pred = sxx * a + sxp * b + spp * c
-        total += abs(pred - slice_variance(s))
-    return total
-
-
-def _pure_covariance(mset: MeasurementSet,
-                     est: CovarianceEstimate) -> CovarianceEstimate:
-    """Pin the cross covariance through purity, sign from the oblique
-    slices, then nudge the momentum variance so the determinant is
-    exactly 1/4 (a pure report must sit on the purity manifold)."""
-    sxx, spp = est.sigma_xx, est.sigma_pp
-    if sxx is None or spp is None:
+def _pure_covariance(est: CovarianceEstimate) -> CovarianceEstimate:
+    """Pin the cross covariance's magnitude through purity, with the sign
+    the fit gives it (+0.0 where the fitted value is within 1e-12 of 0 or
+    the magnitude is 0), then nudge the momentum variance so the
+    determinant is exactly 1/4 (a pure report must sit on the purity
+    manifold)."""
+    missing = [n for n in _COMPONENTS if getattr(est, n) is None]
+    if missing:
         raise InsufficientDataError(
-            "three-direction analysis needs both marginal variances")
+            f"the covariance fit leaves {', '.join(missing)} undetermined: "
+            "the direction rows are numerically dependent")
+    sxx, sxp, spp = est.sigma_xx, est.sigma_xp, est.sigma_pp
     excess = sxx * spp - 0.25
     check(-excess, _UNCERTAINTY_SLACK, InvalidCovarianceError, lambda: "fitted variances "
           f"give sigma_xx sigma_pp = {sxx * spp:.6f} < 1/4: no pure Gaussian state is "
           "compatible")
-    mag = float(np.sqrt(max(excess, 0.0)))
-    plus = _oblique_residual(mset, sxx, mag, spp)
-    minus = _oblique_residual(mset, sxx, -mag, spp)
-    if abs(plus - minus) <= 1e-12:
-        sxp = 0.0
-    else:
-        sxp = mag if plus < minus else -mag
+    mag = math.sqrt(max(excess, 0.0))
+    sxp = math.copysign(mag, sxp) if mag and abs(sxp) > 1e-12 else 0.0
     return CovarianceEstimate(sxx, sxp, (0.25 + sxp ** 2) / sxx, est.residual)
 
 
@@ -339,7 +326,7 @@ def gaussian_completeness(mset: MeasurementSet,
             raise UnsupportedError(
                 "three or more directions only yield a completeness value "
                 "under the purity assumption")
-        cov = _pure_covariance(mset, est)
+        cov = _pure_covariance(est)
         return CompletenessReport(0.0, REGIME_THREE_OR_MORE, cov, True)
     if len(lines) == 2 and has_pos and has_mom:
         arg = float(np.sqrt(est.sigma_xx * est.sigma_pp)) - 0.5

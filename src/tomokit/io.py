@@ -49,7 +49,10 @@ def sha256_of(path) -> str:
 
 
 def write_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a nan or infinite float raises ValueError, never
+    reaching the file as the NaN or Infinity that JSON has no word for."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def same_grid(a: SpatialGrid, b: SpatialGrid) -> bool:

@@ -251,8 +251,9 @@ def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
     is kept where X/mu is on the grid.  The kernel's spread
     |nu| k_max/|mu| (at most pi/dx) sets n so that no periodic image
     reaches the grid; hard-edged rows, whose spectra run to pi/dx, need
-    more than 2N.  Further from the axis the position side's
-    ResolutionError is raised.
+    more than 2N.  A spread the padding cannot hold, or a padding that no
+    array can hold, raises ResolutionError naming the spread; further from
+    the axis the position side's ResolutionError is raised.
     """
     rate = _kernel_rate(values, grid, mu, nu, out_grid)
     if rate <= np.pi / grid.dx:
@@ -262,15 +263,23 @@ def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
     n = 1 << (2 * grid.n_points - 1).bit_length()
     phi, kgrid = _momentum(values, grid, n)
     spread = abs(nu) * _reach(phi, kgrid.points) / abs(mu)
-    if not spread < np.inf:
-        raise ResolutionError(_undersampled(grid, mu, nu, rate))
-    wide = grid.n_points + int(spread / grid.dx)
-    if wide > n:
-        n = 1 << (wide - 1).bit_length()
-        phi, kgrid = _momentum(values, grid, n)
+    steps = spread / grid.dx
+    if steps < np.inf and grid.n_points + int(steps) > n:
+        n = 1 << (grid.n_points + int(steps) - 1).bit_length()
+        try:
+            phi, kgrid = _momentum(values, grid, n)
+        except (MemoryError, ValueError):  # numpy refuses what no array can hold
+            raise ResolutionError(
+                f"near-axis padding of (mu={mu!r}, nu={nu!r}) to {n} wavenumbers, "
+                f"for a kernel spread of {spread:.3g}, does not fit in memory; "
+                "suggest a longer direction or a coarser grid") from None
         spread = abs(nu) * _reach(phi, kgrid.points) / abs(mu)
-    if not spread < (n - grid.n_points + 1) * grid.dx:
-        raise ResolutionError(_undersampled(grid, mu, nu, rate))
+    room = (n - grid.n_points + 1) * grid.dx
+    if not spread < room:
+        raise ResolutionError(
+            f"near-axis kernel at (mu={mu!r}, nu={nu!r}) spreads the samples by "
+            f"{spread:.3g}, not within the room (n - N + 1) dx = {room:.3g} of "
+            f"n = {n} wavenumbers; suggest a longer direction or a coarser grid")
     y = out_grid.points / mu
     return np.where((y >= grid.x_min) & (y <= grid.x_max),
                     _transform_samples(phi, kgrid, nu, -mu, out_grid), 0.0)

@@ -98,6 +98,22 @@ def test_simulate_unresolvable_grid_exits_4(tmp_path, capsys):
     assert "n_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, state, direction", [
+    # 2^49 wavenumbers, 8 PiB: no address space maps them, so none are allocated
+    ("-1e-5,1e-5,2048", "gaussian:0,0,1e-6", "1e-14,1e-14"),
+    # 2^76 wavenumbers: numpy refuses the shape before any allocation
+    ("-1e-9,1e-9,2048", "gaussian:0,0,1e-10", "1e-30,1e-30"),
+])
+def test_simulate_padding_beyond_memory_exits_4(tmp_path, capsys, grid, state, direction):
+    out = tmp_path / "out"
+    assert run("simulate", f"--grid={grid}", f"--state={state}", "--direction=1,0",
+               f"--direction={direction}", f"--out={out}") == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR resolution-error: near-axis padding")
+    assert "does not fit in memory" in line
+    assert not out.exists()
+
+
 def test_simulate_unknown_state_exits_2(tmp_path, capsys):
     rc = run("simulate", "--state=thermal:3", "--direction=1,0",
              f"--out={tmp_path / 'out'}")
@@ -288,6 +304,28 @@ def test_reconstruct_missed_node_is_not_ok(tmp_path, capsys):
     assert run("reconstruct", f"--in={sim}", f"--out={tmp_path / 'rec'}") != 0
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("ERROR ")
+
+
+def strict_json(path):
+    """json.load that refuses NaN and Infinity, which JSON has no word for."""
+    def refuse(word):
+        raise ValueError(f"{path}: {word} is not JSON")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_singular_fit_writes_a_null_condition_estimate(tmp_path):
+    # cuts at 8 and 9 leave two segments where vacuum has next to no
+    # amplitude: the fit is singular, still reported, and its infinite
+    # condition estimate is written as null
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    assert run("simulate", "--state=vacuum", "--direction=1,0",
+               "--direction=0.6,0.8", "--direction=-0.6,0.8", f"--out={sim}") == 0
+    assert run("reconstruct", f"--in={sim}", "--breakpoints=8,9", f"--out={rec}") == 0
+    report = strict_json(rec / "reconstruction.json")
+    assert report["status"] == "ill-conditioned"
+    assert report["condition_estimate"] is None
+    strict_json(rec / "manifest.json")
 
 
 def test_reconstruct_unordered_breakpoints_exits_2(tmp_path, capsys):

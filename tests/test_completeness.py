@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tomokit import completeness, core, transform
+from tomokit import cli, completeness, core, transform
 from tomokit.completeness import (
     CompletenessReport,
     CovarianceEstimate,
@@ -19,6 +19,7 @@ from tomokit.completeness import (
 )
 from tomokit.errors import (
     InconsistentTomogramsError,
+    InsufficientDataError,
     InvalidArgumentError,
     InvalidCovarianceError,
     ModelMismatchError,
@@ -529,6 +530,37 @@ def test_three_directions_symmetric_state_picks_zero_cross(grid):
                            gslice(st, 1.0, 1.0, grid)))
     report = completeness.gaussian_completeness(mset, purity_assumed=True)
     assert report.covariances.sigma_xp == 0.0
+
+
+def test_pure_report_takes_the_fits_cross_sign(grid):
+    # sigma_xp = 0 drawn; with 1e-3 noise the fit reads -2.03e-6, and the
+    # pure report keeps that sign at the purity magnitude 3.5e-3, though
+    # the two oblique slices alone sit closer to +3.5e-3
+    st = GaussianState(sigma_xx=0.7, sigma_pp=0.25 / 0.7)
+    dirs = [(1.0, 0.0), (0.0, 1.0), (np.cos(0.9), np.sin(0.9)),
+            (np.cos(2.0), np.sin(2.0))]
+    mset = MeasurementSet(tuple(cli._noisy(gslice(st, mu, nu, grid), 1e-3, 19, j)
+                                for j, (mu, nu) in enumerate(dirs)))
+    fit = completeness.covariance_from_tomograms(mset).sigma_xp
+    report = completeness.gaussian_completeness(mset, purity_assumed=True)
+    cov = report.covariances
+    assert fit == pytest.approx(-2.03e-6, abs=1e-8)
+    assert cov.sigma_xp < -1e-3
+    assert cov.sigma_xx * cov.sigma_pp - cov.sigma_xp ** 2 == pytest.approx(
+        0.25, abs=1e-12)
+
+
+def test_pure_report_refuses_an_undetermined_fit(grid):
+    # three lines 1e-6 rad apart are distinct, but their variance rows are
+    # dependent to 1e-10, so the fit determines no component
+    st = pure_state(0.7, 0.3)
+    mset = MeasurementSet(tuple(gslice(st, np.cos(a), np.sin(a), grid)
+                                for a in (0.8, 0.8 + 1e-6, 0.8 + 2e-6)))
+    assert len(mset._lines) == 3
+    assert completeness.covariance_from_tomograms(mset).present() == {}
+    with pytest.raises(InsufficientDataError,
+                       match="sigma_xx, sigma_xp, sigma_pp undetermined"):
+        completeness.gaussian_completeness(mset, purity_assumed=True)
 
 
 def test_three_directions_need_purity(grid):

@@ -177,6 +177,13 @@ def test_write_json_sorted_with_trailing_newline(tmp_path):
     assert json.loads(text) == {"zeta": 1, "alpha": {"finite": 0.5}}
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_write_json_refuses_what_json_cannot_hold(tmp_path, value):
+    with pytest.raises(ValueError):
+        io.write_json(tmp_path / "report.json", {"condition_estimate": value})
+    assert not os.listdir(tmp_path)
+
+
 # -0.0, subnormals, the largest magnitudes and ordinary values
 _SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308])
 _SUBNORMAL = st.floats(-2.2e-308, 2.2e-308)

@@ -208,6 +208,7 @@ def test_cut_through_the_bulk_keeps_one_phase(grid, vacuum, directions, solve):
 @example(d=(1.0, 1e-9), phi=0.9, height=0.8)
 @example(d=(-0.999, 0.04), phi=0.9, height=0.8)
 @example(d=(2.0, 0.0), phi=0.9, height=0.8)
+@example(d=(0.3, 0.05), phi=0.9, height=0.8)  # widens the momentum pass past 2N
 @given(d=strategies.directions(oblique=False),
        phi=st.floats(0.0, 2.0 * np.pi), height=st.floats(0.3, 1.0))
 def test_near_axis_segment_transforms_sum_to_slice(grid, d, phi, height):
