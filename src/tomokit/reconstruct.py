@@ -168,15 +168,11 @@ def detect_nodes(position: TomogramSlice) -> np.ndarray:
     """
     _require_position(position)
     d = position.density
-    above = d >= _NODE_DIP_REL * d.max()
-    idx = np.nonzero(above)[0]
+    idx = np.flatnonzero(d >= _NODE_DIP_REL * d.max())
+    gaps = np.flatnonzero(np.diff(idx) > 1)
     x = position.grid.points
-    nodes = []
-    for lo, hi in zip(idx[:-1], idx[1:]):
-        if hi > lo + 1:
-            gap = slice(lo + 1, hi)
-            nodes.append(x[gap][np.argmin(d[gap])])
-    return np.asarray(nodes)
+    return np.asarray([x[lo + 1 + np.argmin(d[lo + 1:hi])]
+                       for lo, hi in zip(idx[gaps], idx[gaps + 1])])
 
 
 @dataclass(frozen=True)
@@ -245,6 +241,11 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     standard error |A x - b| / sigma_min that must stay within 0.1.  One
     segment has no unknowns: its rows are checked by the residual alone.
     Cuts that leave a segment with no grid sample are refused.
+
+    The array is column-major, so its QR takes it without a transpose.
+    Q is orthogonal, so R keeps A's singular values and every |A x - b|:
+    an SVD of R's leading columns gives the condition estimate and the
+    minimum-norm solution, with lstsq's rank cutoff eps max(rows, n) sv[0].
     """
     state = piecewise_from_position(breakpoints, position)
     k = state.n_segments
@@ -253,28 +254,33 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     if empty:
         raise InvalidArgumentError(f"breakpoints {state.breakpoints.tolist()!r} leave "
                                    f"segment(s) {empty} with no grid sample")
-    pairs = _pair_list(k)
     sizes = [s.grid.n_points for s in extras]
-    ab = np.empty((sum(sizes), 2 * len(pairs) + 1))
+    n = k * (k - 1)
+    ab = np.empty((sum(sizes), n + 1), order="F")
     for s, block in zip(extras, np.split(ab, np.cumsum(sizes[:-1]))):
         stack = segment_transforms(state, s.grid, s.mu, s.nu)
-        for i, (p, q) in enumerate(pairs):
-            prod = stack[p] * np.conj(stack[q])
-            block[:, 2 * i] = 2.0 * prod.real
-            block[:, 2 * i + 1] = -2.0 * prod.imag
+        i = 0
+        for p in range(k - 1):  # the pairs (p, q > p), in _pair_list's order
+            j = i + 2 * (k - 1 - p)
+            prod = np.conj(stack[p]) * stack[p + 1:]
+            np.multiply(prod.real, 2.0, out=block[:, i:j:2].T)
+            np.multiply(prod.imag, 2.0, out=block[:, i + 1:j:2].T)
+            i = j
         block[:, -1] = s.density - np.sum(np.abs(stack) ** 2, axis=0)
-    a, b = ab[:, :-1], ab[:, -1]
-    sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
-    misfit = a @ sol - b
-    residual = float(np.sqrt(np.mean(misfit ** 2)))
+    r = np.linalg.qr(ab, mode="r")
+    u, sv, vt = np.linalg.svd(r[:, :-1], full_matrices=False)
+    rank = np.count_nonzero(sv > np.finfo(float).eps * max(ab.shape[0], n) * sv[:1])
+    sol = vt[:rank].T @ ((u[:, :rank].T @ r[:, -1]) / sv[:rank])
+    misfit = float(np.linalg.norm(r[:, :-1] @ sol - r[:, -1]))
+    residual = misfit / float(np.sqrt(ab.shape[0]))
     check(residual, _RESIDUAL_LIMIT, InconsistentTomogramsError, lambda: "least-squares "
           f"residual {residual:.2e}: slices are not tomograms of one piecewise state")
-    if not sv.size:
+    if not n:
         return sol.reshape(-1, 2), residual, 1.0, "ok", k
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     status = "ok" if cond <= _CONDITION_LIMIT else "ill-conditioned"
     if status == "ok":
-        stderr = float(np.linalg.norm(misfit) / sv[-1])
+        stderr = misfit / sv[-1]
         check(stderr, _STDERR_LIMIT, InsufficientDataError, lambda: "pairwise phase products "
               f"have standard error {stderr:.2e}; use slices further from the position axis")
     return sol.reshape(-1, 2), residual, cond, status, k

@@ -22,6 +22,7 @@ Ozaktas, Candan & Kutay 2008).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -221,6 +222,11 @@ def _plan(grid: SpatialGrid, mu: float, nu: float, out_grid: SpatialGrid) -> _Pl
     return _Plan(pre, ker, post)
 
 
+# The work array of _transform_samples, one per thread so that concurrent
+# callers never share it; never handed out.
+_work = threading.local()
+
+
 def _transform_samples(values: np.ndarray, grid: SpatialGrid, mu: float,
                        nu: float, out_grid: SpatialGrid) -> np.ndarray:
     """Discrete transform of raw samples; no normalization checks.
@@ -228,11 +234,19 @@ def _transform_samples(values: np.ndarray, grid: SpatialGrid, mu: float,
     Evaluates dy * sum_n values_n exp(i mu y_n^2/(2 nu) - i x_k y_n/nu)
     divided by sqrt(2 pi |nu|) on the output grid, along the last axis of
     a (..., N) stack, with the cached plan of (grid, mu, nu, out_grid).
-    The convolution runs in place in one zero-padded (..., L) buffer.
+    The convolution runs in place in one zero-padded (..., L) buffer, a
+    view of the thread's work array, which grows to the largest stack seen
+    and is kept between calls; the result is always a fresh array.
     """
     plan = _plan(grid, mu, nu, out_grid)
-    buf = np.zeros(np.shape(values)[:-1] + plan.ker.shape, dtype=complex)
+    shape = np.shape(values)[:-1] + plan.ker.shape
+    size = math.prod(shape)
+    buf = getattr(_work, "array", None)
+    if buf is None or buf.size < size:
+        buf = _work.array = np.empty(size, dtype=complex)
+    buf = buf[:size].reshape(shape)
     np.multiply(values, plan.pre, out=buf[..., :grid.n_points])
+    buf[..., grid.n_points:] = 0.0
     np.fft.fft(buf, out=buf)
     buf *= plan.ker
     np.fft.ifft(buf, out=buf)

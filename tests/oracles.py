@@ -29,6 +29,41 @@ def bluestein_reference(values, plan, n_out):
     return conv[..., :n_out] * plan.post
 
 
+def lstsq_pair_fit(ab):
+    """Least squares of the system [A | b] as LAPACK's lstsq solves it, with
+    its default rank cutoff, and the misfit A x - b formed explicitly.
+
+    Returns the solution, the RMS misfit over the rows, the condition
+    estimate sv_max/sv_min (infinite for a zero sv_min, 1 with no unknown)
+    and the standard error |A x - b|/sv_min.
+    """
+    a, b = ab[:, :-1], ab[:, -1]
+    sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
+    misfit = a @ sol - b
+    residual = float(np.sqrt(np.mean(misfit ** 2)))
+    if not sv.size:
+        return sol, residual, 1.0, 0.0
+    if sv[-1] == 0.0:
+        return sol, residual, math.inf, math.inf
+    return sol, residual, float(sv[0] / sv[-1]), float(np.linalg.norm(misfit) / sv[-1])
+
+
+def dip_nodes(density, x, rel):
+    """The deepest sample (the first of equal ones) of each run of samples
+    below rel times the peak that has a sample at or above it on both
+    sides, found one sample at a time."""
+    cut = rel * max(density)
+    nodes, seen_high, deepest = [], False, None
+    for xi, di in zip(x, density):
+        if di >= cut:
+            if deepest is not None:
+                nodes.append(deepest[1])
+            seen_high, deepest = True, None
+        elif seen_high and (deepest is None or di < deepest[0]):
+            deepest = (di, xi)
+    return np.array(nodes, dtype=float)
+
+
 def hermite_psi(n, x):
     """Oscillator eigenfunction via the library Hermite polynomial."""
     lognorm = -0.5 * (n * np.log(2.0) + gammaln(n + 1.0) + 0.5 * np.log(np.pi))

@@ -17,6 +17,7 @@ from tomokit.errors import (
 )
 from tomokit.reconstruct import PhaseRecoveryResult, PiecewiseState
 
+import oracles
 import strategies
 
 
@@ -166,6 +167,36 @@ def test_detect_nodes_two_bump(grid):
 def test_detect_nodes_none_for_vacuum(vacuum):
     pos = transform.tomogram(vacuum, 1.0, 0.0)
     assert reconstruct.detect_nodes(pos).size == 0
+
+
+@st.composite
+def dip_densities(draw):
+    """Sample values as runs on both sides of 1e-3 of the peak: lobes in
+    [0.01, 1], gaps as narrow as one sample with ties at zero, and tails
+    that may reach either grid edge."""
+    high = st.floats(0.01, 1.0)
+    low = st.one_of(st.just(0.0), st.floats(0.0, 1e-6))
+    values = []
+    for j in range(draw(st.integers(1, 5))):
+        if j or draw(st.booleans()):
+            values += draw(st.lists(low, min_size=1, max_size=6))
+        values += draw(st.lists(high, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        values += draw(st.lists(low, min_size=1, max_size=6))
+    return np.array(values + [0.0] * (len(values) < 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=dip_densities())
+@example(values=np.array([1.0, 0.0, 1.0]))
+@example(values=np.array([0.0, 1.0, 0.0, 0.0, 0.5, 0.0]))
+def test_detect_nodes_equals_the_per_sample_scan(values):
+    grid = core.make_grid(-3.0, 3.0, values.size)
+    pos = transform.TomogramSlice(1.0, 0.0, grid, values / (values.sum() * grid.dx))
+    got = reconstruct.detect_nodes(pos)
+    want = oracles.dip_nodes(pos.density, grid.points, reconstruct._NODE_DIP_REL)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_detect_nodes_validates_input(grid, vacuum):
@@ -537,6 +568,63 @@ def test_kept_fit_is_read_only(grid, directions):
     assert (outcome("nodes", pos, extras, [0.0])
             == repr((first.phases.tolist(), first.residual,
                      first.condition_estimate, first.status)))
+
+
+def captured_fit(position, extras, cuts):
+    """_fit's result, or the error it raised, with the [A | b] it factored."""
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        try:
+            got = reconstruct._fit(position, extras, np.asarray(cuts, dtype=float))
+        except TomokitError as exc:
+            got = exc
+    [call] = qr.call_args_list
+    return got, call.args[0]
+
+
+def assert_fit_matches_lstsq(got, ab):
+    sol, residual, cond, stderr = oracles.lstsq_pair_fit(ab)
+    status = "ok" if cond <= reconstruct._CONDITION_LIMIT else "ill-conditioned"
+    if residual > reconstruct._RESIDUAL_LIMIT:
+        assert isinstance(got, InconsistentTomogramsError)
+    elif status == "ok" and stderr > reconstruct._STDERR_LIMIT:
+        assert isinstance(got, InsufficientDataError)
+    else:
+        pairs, got_residual, got_cond, got_status, _ = got
+        assert pairs.shape == (sol.size // 2, 2)
+        assert np.max(np.abs(pairs.ravel() - sol), initial=0.0) <= 1e-12
+        assert abs(got_residual - residual) <= 1e-15
+        assert got_cond == cond or abs(got_cond - cond) <= 1e-12 * cond
+        assert got_status == status
+
+
+@settings(max_examples=12, deadline=None)
+@given(drawn=lobe_states())
+def test_fit_matches_lstsq(grid, drawn):
+    k, params, directions = drawn
+    psi = lobes(grid, *params)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    every = slices_for(psi, directions)
+    cuts = reconstruct.detect_nodes(pos)
+    for extras in (every[:k - 1], every[:k], every):
+        assert_fit_matches_lstsq(*captured_fit(pos, extras, cuts))
+
+
+def test_singular_and_one_segment_fits_match_lstsq(grid, vacuum, directions):
+    # the empty_segment state: its first segment has zero magnitude, so the
+    # fit is singular and its condition estimate infinite; a second cut in
+    # the tail leaves singular values of order 1e-20 that only the rank
+    # cutoff drops
+    x = grid.points
+    psi = core.WaveFunction(grid, np.exp(-(x - 2.5) ** 2 / (2 * 0.15)))
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    for cuts in ([-6.0], [-6.0, 4.0]):
+        got, ab = captured_fit(pos, slices_for(psi, directions), cuts)
+        assert got[2] == np.inf and got[3] == "ill-conditioned"
+        assert_fit_matches_lstsq(got, ab)
+    got, ab = captured_fit(transform.tomogram(vacuum, 1.0, 0.0),
+                           [transform.tomogram(vacuum, 0.6, 0.8)], [])
+    assert got[0].size == 0 and got[2] == 1.0 and got[3] == "ok"
+    assert_fit_matches_lstsq(got, ab)
 
 
 # ---------------------------------------------------------------- README

@@ -1,4 +1,6 @@
 import inspect
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -95,6 +97,50 @@ def test_transform_samples_equal_the_three_temporary_formula(
     assert np.array_equal(second, want)
     assert np.array_equal(values, kept)
     assert not np.shares_memory(first, second)
+
+
+def test_reused_work_buffer_never_leaks(superposition, vacuum):
+    # one plan, stacks of 1, 3 and 2 rows in turn: no result is a view of
+    # the work buffer, and no later call moves an earlier result
+    grid = superposition.grid
+    rows = [superposition.amplitudes, vacuum.amplitudes, superposition.amplitudes.real]
+    results, kept = [], []
+    for count in (1, 3, 2):
+        results.append(transform._transform_samples(np.stack(rows[:count]), grid,
+                                                    0.6, 0.8, grid))
+        kept.append(results[-1].copy())
+        for got, want in zip(results, kept):
+            assert not np.shares_memory(got, transform._work.array)
+            assert np.array_equal(got, want)
+
+
+def test_threads_do_not_share_the_work_buffer(superposition, vacuum):
+    # transforms of different stacks on one plan, run concurrently, each
+    # equal to its single-threaded result
+    grid = superposition.grid
+    stacks = [np.stack([superposition.amplitudes, vacuum.amplitudes][:1 + j % 2]) * (j + 1)
+              for j in range(4)]
+    want = [transform._transform_samples(s, grid, 0.6, 0.8, grid) for s in stacks]
+    wrong = []
+
+    def work(j):
+        for _ in range(40):
+            got = transform._transform_samples(stacks[j], grid, 0.6, 0.8, grid)
+            if not np.array_equal(got, want[j]):
+                wrong.append(j)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_plan_arrays_are_read_only(grid):
