@@ -315,8 +315,6 @@ def gaussian_completeness(mset: MeasurementSet,
     allows; three or more distinct directions pin the state completely,
     but only under an explicit purity assumption.
     """
-    if len(mset) == 0:
-        raise InvalidArgumentError("empty measurement set")
     lines = mset._lines
     has_pos = any(v == 0.0 for _, v in lines)
     has_mom = any(u == 0.0 for u, _ in lines)

@@ -7,7 +7,7 @@ so a normalized :class:`WaveFunction` satisfies ``sum |psi|^2 dx = 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -101,6 +101,7 @@ def default_grid() -> SpatialGrid:
     return make_grid(-12.0, 12.0, 2048)
 
 
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Complex amplitudes on a grid, normalized so sum |psi|^2 dx = 1.
 
@@ -114,20 +115,25 @@ class WaveFunction:
 
     The sum of |psi|^2, with and without dx, must be a normal float: one
     that overflows or is subnormal has lost the digits normalizing needs.
+    The amplitudes are a read-only copy; equality is by identity.
     """
 
-    def __init__(self, grid: SpatialGrid, amplitudes, normalize: bool = True):
-        if not isinstance(grid, SpatialGrid):
+    grid: SpatialGrid
+    amplitudes: np.ndarray
+    normalize: InitVar[bool] = True
+
+    def __post_init__(self, normalize: bool):
+        if not isinstance(self.grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.shape != (grid.n_points,):
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.shape != (self.grid.n_points,):
             raise InvalidArgumentError(
-                f"amplitudes must have shape ({grid.n_points},), got {amps.shape}")
+                f"amplitudes must have shape ({self.grid.n_points},), got {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InvalidArgumentError("amplitudes must be finite")
         with np.errstate(over="ignore"):
             squares = float(np.sum(np.abs(amps) ** 2))
-        nrm2 = squares * grid.dx
+        nrm2 = squares * self.grid.dx
         if not (_TINY <= squares and _TINY <= nrm2 < np.inf):
             raise InvalidArgumentError(
                 f"amplitudes have squared norm {nrm2!r}, not a normal float")
@@ -139,26 +145,17 @@ class WaveFunction:
         else:
             amps = amps.copy()
         amps.flags.writeable = False
-        self._grid = grid
-        self._amps = amps
-
-    @property
-    def grid(self) -> SpatialGrid:
-        return self._grid
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amps
+        object.__setattr__(self, "amplitudes", amps)
 
     def density(self) -> np.ndarray:
         """Position density |psi(x_k)|^2."""
-        return np.abs(self._amps) ** 2
+        return np.abs(self.amplitudes) ** 2
 
     def inner(self, other: "WaveFunction") -> complex:
         """<self|other> with the dx weight."""
-        if other._grid != self._grid:
+        if other.grid != self.grid:
             raise InvalidArgumentError("wavefunctions live on different grids")
-        return complex(np.sum(np.conj(self._amps) * other._amps) * self._grid.dx)
+        return complex(np.sum(np.conj(self.amplitudes) * other.amplitudes) * self.grid.dx)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ with unit-modulus unknowns u_jk = exp(i(phi_j - phi_k)).  Both solvers
 assemble this as a real least-squares problem over all X samples of all
 supplied slices; they differ in how the unit-modulus structure is used.
 Phases are read off the dominant eigenvector of the Hermitian matrix of
-pairwise products, gauged so the first segment has phase zero.
+pairwise products, gauged so the first segment with any magnitude has phase
+zero; a segment with none has phase zero too.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .errors import (
     InvalidArgumentError,
     check,
 )
-from .transform import TomogramSlice, _direction, _quadrature
+from .transform import TomogramSlice, _quadrature
 
 __all__ = [
     "PiecewiseState",
     "PhaseRecoveryResult",
     "piecewise_from_position",
-    "segment_transforms",
     "assemble_state",
     "detect_nodes",
     "recover_phases_nodes",
@@ -122,26 +122,6 @@ def piecewise_from_position(breakpoints, position: TomogramSlice,
                           phases, position.grid)
 
 
-def segment_transforms(state: PiecewiseState, grid: SpatialGrid, mu: float,
-                       nu: float) -> np.ndarray:
-    """Transform the windowed magnitudes at (mu, nu) onto ``grid`` in one
-    batched call, returned read-only with one row per segment; one side of
-    the transform serves every segment, so its X-dependent phase cancels in
-    every |w_j|^2 and w_j conj(w_k).
-
-    The rows are exact samples of the discrete transform on ``grid``, so
-    no check runs here: a fragmentation the slices contradict fails the
-    fit's residual, and a kernel the grid cannot sample raises
-    ResolutionError in the transform itself.
-    """
-    mu, nu = _direction(mu, nu)
-    if not isinstance(grid, SpatialGrid):
-        raise InvalidArgumentError("grid must be a SpatialGrid")
-    waves = _quadrature(state.magnitudes, state.grid, mu, nu, grid)
-    waves.flags.writeable = False
-    return waves
-
-
 def assemble_state(state: PiecewiseState, grid: SpatialGrid) -> WaveFunction:
     """Phase-weighted sum of the segment magnitudes as a WaveFunction.
 
@@ -177,8 +157,9 @@ def detect_nodes(position: TomogramSlice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseRecoveryResult:
-    """Recovered per-segment phases (first gauged to zero, all in [0, 2pi))
-    plus least-squares diagnostics."""
+    """Recovered per-segment phases plus least-squares diagnostics.  The
+    phases are in [0, 2pi): the first segment with any magnitude is gauged
+    to zero, and a segment with none, which carries no phase, reads zero."""
 
     phases: np.ndarray
     residual: float
@@ -190,21 +171,18 @@ class PhaseRecoveryResult:
             raise InvalidArgumentError("residual must be finite")
 
 
-def _pair_list(k: int) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(k) for q in range(p + 1, k)]
-
-
-def _phases_from_pairs(u: np.ndarray, k: int) -> np.ndarray:
-    """Dominant-eigenvector phase read-out from pairwise products."""
+def _phases_from_pairs(u: np.ndarray, populated: np.ndarray) -> np.ndarray:
+    """Dominant-eigenvector phase read-out from the pairwise products, in
+    _fit's pair order, gauged to the first segment with any magnitude; a
+    segment with none carries no phase and reads 0."""
+    k = populated.size
     mat = np.eye(k, dtype=complex)
-    for (p, q), val in zip(_pair_list(k), u):
-        mat[p, q] = val
-        mat[q, p] = np.conj(val)
+    mat[np.triu_indices(k, 1)[::-1]] = np.conj(u)  # eigh reads the lower triangle
     _, vecs = np.linalg.eigh(mat)
     vec = vecs[:, -1]
     ref = np.argmax(np.abs(vec))
     ph = np.angle(vec * np.conj(vec[ref]))
-    ph = ph - ph[0]
+    ph = np.where(populated, ph - ph[np.argmax(populated)], 0.0)
     return np.mod(ph, 2.0 * np.pi)
 
 
@@ -232,7 +210,8 @@ def _solve(position: TomogramSlice, extras, breakpoints):
 
 
 def _fit(position: TomogramSlice, extras, breakpoints):
-    """Shared least-squares assembly; returns (sol_pairs, residual, cond, status, K).
+    """Shared least-squares assembly; returns (sol_pairs, residual, cond,
+    status, populated), the last marking the segments with any magnitude.
 
     The rows of the one array [A | b], one block per extra slice, read
         sum_{p<q} [2 a_pq c_pq - 2 b_pq s_pq] = omega - sum_j |w_j|^2
@@ -258,9 +237,11 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     n = k * (k - 1)
     ab = np.empty((sum(sizes), n + 1), order="F")
     for s, block in zip(extras, np.split(ab, np.cumsum(sizes[:-1]))):
-        stack = segment_transforms(state, s.grid, s.mu, s.nu)
+        # one transform side serves every segment, so its X-dependent phase
+        # cancels in every |w_j|^2 and w_j conj(w_k)
+        stack = _quadrature(state.magnitudes, state.grid, s.mu, s.nu, s.grid)
         i = 0
-        for p in range(k - 1):  # the pairs (p, q > p), in _pair_list's order
+        for p in range(k - 1):  # the pairs (p, q > p), in np.triu_indices order
             j = i + 2 * (k - 1 - p)
             prod = np.conj(stack[p]) * stack[p + 1:]
             np.multiply(prod.real, 2.0, out=block[:, i:j:2].T)
@@ -276,14 +257,14 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     check(residual, _RESIDUAL_LIMIT, InconsistentTomogramsError, lambda: "least-squares "
           f"residual {residual:.2e}: slices are not tomograms of one piecewise state")
     if not n:
-        return sol.reshape(-1, 2), residual, 1.0, "ok", k
+        return sol.reshape(-1, 2), residual, 1.0, "ok", state.magnitudes.any(axis=1)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     status = "ok" if cond <= _CONDITION_LIMIT else "ill-conditioned"
     if status == "ok":
         stderr = misfit / sv[-1]
         check(stderr, _STDERR_LIMIT, InsufficientDataError, lambda: "pairwise phase products "
               f"have standard error {stderr:.2e}; use slices further from the position axis")
-    return sol.reshape(-1, 2), residual, cond, status, k
+    return sol.reshape(-1, 2), residual, cond, status, state.magnitudes.any(axis=1)
 
 
 def _recover(position: TomogramSlice, extras, bp: np.ndarray,
@@ -308,7 +289,7 @@ def _recover(position: TomogramSlice, extras, bp: np.ndarray,
         raise InsufficientDataError(f"{shortfall}, got {len(extras)}")
     if not extras:
         return PhaseRecoveryResult(np.zeros(1), 0.0, 1.0, "ok")
-    sol, residual, cond, status, k = _solve(position, extras, bp)
+    sol, residual, cond, status, populated = _solve(position, extras, bp)
     if project:
         moduli = np.hypot(sol[:, 0], sol[:, 1])
         worst = np.abs(moduli - 1.0).max(initial=0.0)
@@ -316,7 +297,7 @@ def _recover(position: TomogramSlice, extras, bp: np.ndarray,
               f"cosine/sine solution off the unit circle by {worst:.2e}: slices do not fit "
               "the fragmentation")
         sol = sol / moduli[:, None]
-    phases = _phases_from_pairs(sol[:, 0] + 1j * sol[:, 1], k)
+    phases = _phases_from_pairs(sol[:, 0] + 1j * sol[:, 1], populated)
     phases.flags.writeable = False
     return PhaseRecoveryResult(phases, residual, cond, status)
 

@@ -57,55 +57,45 @@ def _direction(mu, nu) -> tuple[float, float]:
     return mu, nu
 
 
+@dataclass(frozen=True, eq=False)
 class TomogramSlice:
     """Tomographic density of the quadrature mu*x + nu*p on a grid.
 
     Invariants: (mu, nu) finite and != (0, 0); density >= 0;
-    sum(density) dx = 1 within 1e-6.
+    sum(density) dx = 1 within 1e-6.  The density is a read-only copy.
+    Equality and hashing are by identity, which the weak memos key on.
     """
 
-    def __init__(self, mu: float, nu: float, grid: SpatialGrid, density):
-        mu, nu = _direction(mu, nu)
-        if not isinstance(grid, SpatialGrid):
+    mu: float
+    nu: float
+    grid: SpatialGrid
+    density: np.ndarray
+
+    def __post_init__(self):
+        mu, nu = _direction(self.mu, self.nu)
+        if not isinstance(self.grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
-        d = np.asarray(density, dtype=float)
-        if d.shape != (grid.n_points,):
+        d = np.asarray(self.density, dtype=float)
+        if d.shape != (self.grid.n_points,):
             raise InvalidArgumentError(
-                f"density must have shape ({grid.n_points},), got {d.shape}")
+                f"density must have shape ({self.grid.n_points},), got {d.shape}")
         if not np.all(np.isfinite(d)):
             raise InvalidArgumentError("density must be finite")
-        peak = d.max() if d.size else 0.0
+        peak = d.max()
         if peak <= 0.0:
             raise InvalidArgumentError("density must be positive somewhere")
         if d.min() < -1e-9 * peak:
             raise InvalidArgumentError(
                 f"density has negative values down to {d.min()!r}")
         d = np.where(d < 0.0, 0.0, d)
-        integral = float(d.sum() * grid.dx)
+        integral = float(d.sum() * self.grid.dx)
         if abs(integral - 1.0) > 1e-6:
             raise InvalidArgumentError(
                 f"density integrates to {integral!r}, off 1 beyond 1e-6")
         d.flags.writeable = False
-        self._mu = mu
-        self._nu = nu
-        self._grid = grid
-        self._density = d
-
-    @property
-    def mu(self) -> float:
-        return self._mu
-
-    @property
-    def nu(self) -> float:
-        return self._nu
-
-    @property
-    def grid(self) -> SpatialGrid:
-        return self._grid
-
-    @property
-    def density(self) -> np.ndarray:
-        return self._density
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "density", d)
 
     @property
     def line(self) -> tuple[float, float]:

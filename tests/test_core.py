@@ -112,6 +112,12 @@ def test_wavefunction_amplitudes_read_only(vacuum):
         vacuum.amplitudes[0] = 1.0
 
 
+def test_wavefunction_fields_cannot_be_reassigned(vacuum):
+    for name in ("grid", "amplitudes"):
+        with pytest.raises(AttributeError):
+            setattr(vacuum, name, getattr(vacuum, name))
+
+
 def test_wavefunction_zero_amplitudes_rejected(grid):
     with pytest.raises(InvalidArgumentError):
         core.WaveFunction(grid, np.zeros(grid.n_points))

@@ -212,7 +212,7 @@ def test_segment_transforms_stay_orthogonal(grid, directions):
     pos = transform.tomogram(two_bump(grid, 0.9), 1.0, 0.0)
     st = reconstruct.piecewise_from_position([0.0], pos)
     for mu, nu in directions:
-        waves = reconstruct.segment_transforms(st, grid, mu, nu)
+        waves = transform._quadrature(st.magnitudes, grid, mu, nu, grid)
         assert waves.shape == (2, grid.n_points)
         assert np.sum(np.abs(waves) ** 2) * grid.dx == pytest.approx(1.0)
 
@@ -247,7 +247,7 @@ def test_near_axis_segment_transforms_sum_to_slice(grid, d, phi, height):
     # of the assembled state.
     pos = transform.tomogram(two_bump(grid, phi, height), 1.0, 0.0)
     st_ = reconstruct.piecewise_from_position([0.0], pos, phases=[0.0, phi])
-    waves = reconstruct.segment_transforms(st_, grid, *d)
+    waves = transform._quadrature(st_.magnitudes, grid, *d, grid)
     total = np.abs(np.exp(1j * st_.phases) @ waves) ** 2
     want = transform.tomogram(reconstruct.assemble_state(st_, grid), *d)
     assert np.max(np.abs(total - want.density)) < 1e-12
@@ -400,6 +400,20 @@ def test_empty_segment_flags_ill_conditioned(grid, directions):
     assert res.status == "ill-conditioned"
     assert res.condition_estimate > 1e8
     assert res.residual < 1e-6
+
+
+def test_singular_fit_gauges_to_a_populated_segment(grid):
+    # one lobe at -0.14 cut at -6, -0.12 and 6: the outer segments carry no
+    # magnitude, so the fit is singular; they read phase 0, the gauge is the
+    # first populated segment, and the lobe's two halves stay in phase
+    psi = core.sample_state(core.GaussianPreset(-0.14, 0.0, 0.5), grid)
+    pos = transform.tomogram(psi, 1.0, 0.0)
+    extras = [transform.tomogram(psi, mu, nu)
+              for mu, nu in [(0.6, 0.8), (-0.6, 0.8), (0.3, 0.95)]]
+    res = reconstruct.recover_phases_nodes(pos, extras, [-6.0, -0.12, 6.0])
+    assert res.status == "ill-conditioned" and res.condition_estimate == np.inf
+    assert res.phases[0] == res.phases[1] == res.phases[3] == 0.0
+    assert abs(np.angle(np.exp(1j * res.phases[2]))) <= 1e-9
 
 
 @pytest.mark.parametrize("method", ["nodes", "piecewise"])

@@ -1,6 +1,8 @@
+import dataclasses
 import inspect
 import sys
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -269,6 +271,21 @@ def test_slice_is_read_only(grid):
     assert not s.density.flags.writeable
 
 
+def test_slices_are_distinct_by_identity(grid):
+    # the weak memos key on the slice object, never on its fields
+    dens = np.exp(-grid.points ** 2) / np.sqrt(np.pi)
+    a, b = (TomogramSlice(1.0, 0.0, grid, dens) for _ in range(2))
+    assert a != b and a == a
+    assert hash(a) != hash(b)
+    assert weakref.ref(a)() is a
+
+
+def test_replaced_slice_runs_the_checks(grid):
+    s = TomogramSlice(1.0, 0.0, grid, np.exp(-grid.points ** 2) / np.sqrt(np.pi))
+    with pytest.raises(InvalidArgumentError, match="integrates to"):
+        dataclasses.replace(s, density=2.0 * s.density)
+
+
 def test_slice_rejects_null_direction(grid):
     dens = np.exp(-grid.points ** 2) / np.sqrt(np.pi)
     with pytest.raises(InvalidArgumentError):
@@ -302,15 +319,12 @@ def direction_entry_points():
     grid = core.make_grid(-10.0, 10.0, 256)
     psi = core.sample_state(core.GaussianPreset(), grid)
     pos = transform.tomogram(psi, 1.0, 0.0)
-    pieces = reconstruct.piecewise_from_position([], pos)
     history = dynamics.PositionHistory([0.8 / 0.6], [pos])  # reaches (0.6, 0.8)
     calls = {
         "TomogramSlice": lambda mu, nu: TomogramSlice(mu, nu, grid, pos.density),
         "tomogram": lambda mu, nu: transform.tomogram(psi, mu, nu),
         "tomogram_gaussian": lambda mu, nu: transform.tomogram_gaussian(
             GaussianState(0.5, 0.5), mu, nu, grid),
-        "segment_transforms": lambda mu, nu: reconstruct.segment_transforms(
-            pieces, grid, mu, nu),
         "initial_tomogram_from_position_history":
             lambda mu, nu: dynamics.initial_tomogram_from_position_history(
                 history, mu, nu),
