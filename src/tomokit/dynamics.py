@@ -177,13 +177,12 @@ class OscillatorTrajectory:
                      for arr in (self.epsilon, self.epsilon_dot, self.delta))
 
 
-def _sample_rate(rate: Callable[[float], float], stages: np.ndarray,
-                 stage_t: list[float]) -> np.ndarray:
+def _sample_rate(rate: Callable[[float], float], stages: np.ndarray) -> np.ndarray:
     """A rate at every stage time: a preset in one pass over the array, any
     other callable once per stage with a float argument."""
     if isinstance(rate, _Preset):
         return rate.sample(stages)
-    return np.fromiter(map(float, map(rate, stage_t)), float, len(stage_t))
+    return np.fromiter(map(float, map(rate, stages.tolist())), float, stages.size)
 
 
 def _stages(h, v0, vm, e, ed):
@@ -209,6 +208,25 @@ def _step_increments(h, v0, vm, v1) -> np.ndarray:
                                b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
 
+def _after(x, y) -> np.ndarray:
+    """Z with I + Z = (I + X)(I + Y), for (2, 2, k) stacks of increments:
+    X + Y + XY, the later step X on the left."""
+    return x + y + (x[:, :1] * y[:1] + x[:, 1:] * y[1:])
+
+
+def _prefix_products(n: np.ndarray) -> np.ndarray:
+    """Turn the step increments n (2, 2, m) in place into those of the
+    running products (I + n_j) ... (I + n_0) by an odd-even scan: the
+    pairs (2j+1, 2j) are composed and scanned recursively, which gives every
+    odd index, then each even index 2j >= 2 takes its step after index
+    2j - 1.  Index 0 is never written.  About 2m compositions in all."""
+    if n.shape[-1] >= 2:
+        pairs = _prefix_products(_after(n[:, :, 1::2], n[:, :, 0:-1:2]))
+        n[:, :, 1::2] = pairs
+        n[:, :, 2::2] = _after(n[:, :, 2::2], n[:, :, 1:-1:2])
+    return n
+
+
 def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     """Integrate the classical pair with fixed-step RK4.
 
@@ -224,8 +242,8 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     (epsilon, epsilon') after step n is M_n ... M_1 applied to (1, i).  N
     holds the RK4 increment alone: M itself would round 1 + N the same way
     in every step, and on a constant rate those roundings add up in phase.
-    The prefix products are composed by recursive doubling, in log2(n)
-    passes of (I + X)(I + Y) = I + X + Y + XY, the later step on the left.
+    The prefix products are composed by an odd-even scan, in about 2n
+    compositions (I + X)(I + Y) = I + X + Y + XY, the later step on the left.
     Then the Wronskian Im(conj(epsilon) epsilon') is checked at the end of
     every step: at the first step where it drifts beyond 1e-6, or is no
     longer a number, StepSizeError names that step's end time.  Otherwise
@@ -248,9 +266,8 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
         stages[0] = 0.0
         stages[2::2] = ends
         stages[1::2] = stages[0:-1:2] + 0.5 * h
-        stage_t = stages.tolist()
-        ws = _sample_rate(spec.omega, stages, stage_t)
-        f = _sample_rate(spec.force, stages, stage_t)
+        ws = _sample_rate(spec.omega, stages)
+        f = _sample_rate(spec.force, stages)
         finite = np.isfinite(ws) & np.isfinite(f)
         first_bad = None if finite.all() else int(np.argmin(finite))
         n_ok = h.size if first_bad is None else max(0, (first_bad - 1) // 2)
@@ -258,13 +275,8 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
         # run on through the steps, and the Wronskian is checked after them
         with np.errstate(over="ignore", invalid="ignore"):
             v = -(ws * ws)
-            n = _step_increments(h[:n_ok], v[0:2 * n_ok:2], v[1:2 * n_ok:2],
-                                 v[2:2 * n_ok + 1:2])
-            s = 1
-            while s < n_ok:
-                x, y = n[:, :, s:], n[:, :, :-s]
-                n[:, :, s:] = x + y + (x[:, :1] * y[:1] + x[:, 1:] * y[1:])
-                s *= 2
+            n = _prefix_products(_step_increments(
+                h[:n_ok], v[0:2 * n_ok:2], v[1:2 * n_ok:2], v[2:2 * n_ok + 1:2]))
             eps, epsd = np.empty(n_ok + 1, complex), np.empty(n_ok + 1, complex)
             eps[0], epsd[0] = 1.0, 1j
             eps.real[1:], eps.imag[1:] = 1.0 + n[0, 0], n[0, 1]
@@ -275,10 +287,10 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
             f"{n_full} steps of dt = {spec.dt!r} do not fit in memory; "
             "raise dt") from None
     check(np.abs(w - 1.0), _WRONSKIAN_RAISE, StepSizeError, lambda i: "Wronskian drifted to "
-          f"{float(w[i])!r} at t = {stage_t[2 * i + 2]!r}; reduce dt")
+          f"{float(w[i])!r} at t = {float(stages[2 * i + 2])!r}; reduce dt")
     if first_bad is not None:
         raise InvalidArgumentError(
-            f"omega/force not finite at t = {stage_t[first_bad]!r}")
+            f"omega/force not finite at t = {float(stages[first_bad])!r}")
 
     # the stages the steps ran, on the complex (epsilon, epsilon'); cumsum
     # adds in step order

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,13 +172,22 @@ class PhaseRecoveryResult:
             raise InvalidArgumentError("residual must be finite")
 
 
+@lru_cache(maxsize=32)
+def _lower_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) index of the strict lower triangle of a k x k
+    matrix in _fit's pair order (p, q) with p < q, as (q, p); read-only."""
+    p, q = np.triu_indices(k, 1)
+    p.flags.writeable = q.flags.writeable = False
+    return q, p
+
+
 def _phases_from_pairs(u: np.ndarray, populated: np.ndarray) -> np.ndarray:
     """Dominant-eigenvector phase read-out from the pairwise products, in
     _fit's pair order, gauged to the first segment with any magnitude; a
     segment with none carries no phase and reads 0."""
     k = populated.size
     mat = np.eye(k, dtype=complex)
-    mat[np.triu_indices(k, 1)[::-1]] = np.conj(u)  # eigh reads the lower triangle
+    mat[_lower_pairs(k)] = np.conj(u)  # eigh reads the lower triangle
     _, vecs = np.linalg.eigh(mat)
     vec = vecs[:, -1]
     ref = np.argmax(np.abs(vec))

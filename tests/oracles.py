@@ -158,6 +158,19 @@ def rk4_steps(t_max, dt):
     return steps
 
 
+def sequential_step_products(n):
+    """The running products (I + n_j) ... (I + n_0) of a (2, 2, m) stack of
+    step increments, composed one step at a time from the first, each
+    returned minus I: Z_j = N_j + Z_{j-1} + N_j Z_{j-1}."""
+    out = np.empty_like(n)
+    z = np.zeros((2, 2))
+    for j in range(n.shape[-1]):
+        step = n[:, :, j]
+        z = step + z + step @ z
+        out[:, :, j] = z
+    return out
+
+
 def rk4_epsilon_delta(omega, force, t_max, dt):
     """Classical RK4 on the stacked state (epsilon, epsilon', delta) with
     omega and force called at every stage; returns the sample times and
