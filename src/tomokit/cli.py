@@ -145,10 +145,19 @@ def _publish(outdir: str, files: dict, command: str | None = None, extra=()) -> 
                                    f"created: {exc.strerror}") from None
     if not os.access(outdir, os.W_OK):
         raise InvalidArgumentError(f"output directory {outdir!r} is not writable")
+
+    def put(name, write, value):
+        path = os.path.join(outdir, name)
+        try:
+            write(path, value)
+        except OSError as exc:
+            raise InvalidArgumentError(f"output file {path!r} cannot be "
+                                       f"written: {exc.strerror}") from None
+
     for name, (write, value) in files.items():
-        write(os.path.join(outdir, name), value)
+        put(name, write, value)
     if command is not None:
-        io.write_json(os.path.join(outdir, "manifest.json"), {
+        put("manifest.json", io.write_json, {
             "command": command,
             "files": {n: io.sha256_of(os.path.join(outdir, n)) for n in sorted(files)},
             "created_at": datetime.now(timezone.utc).isoformat(),

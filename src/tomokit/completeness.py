@@ -25,6 +25,7 @@ from .transform import (_LINE_ATOL, GaussianState, TomogramSlice, _check_width,
 _KS_LIMIT = 0.01
 _FIT_RESIDUAL_LIMIT = 1e-3
 _UNCERTAINTY_SLACK = 1e-4
+_PURITY_LIMIT = 1e-2
 
 REGIME_POSITION = "position-only"
 REGIME_POSITION_MOMENTUM = "position-and-momentum"
@@ -285,11 +286,14 @@ class CompletenessReport:
 
 
 def _pure_covariance(est: CovarianceEstimate) -> CovarianceEstimate:
-    """Pin the cross covariance's magnitude through purity, with the sign
-    the fit gives it (+0.0 where the fitted value is within 1e-12 of 0 or
-    the magnitude is 0), then nudge the momentum variance so the
-    determinant is exactly 1/4 (a pure report must sit on the purity
-    manifold)."""
+    """Test purity on the fit, then pin the cross covariance's magnitude
+    through it, with the sign the fit gives it (+0.0 where the fitted value
+    is within 1e-12 of 0 or the magnitude is 0), and nudge the momentum
+    variance so the determinant is exactly 1/4 (a pure report must sit on
+    the purity manifold).  A fitted determinant more than 1e-2 off 1/4
+    raises ModelMismatchError: multiplicative noise of 1e-3 moves a pure
+    state's by under 1e-3, and a covariance scaled by 1.2 lifts it by 0.11
+    or more."""
     missing = [n for n in _COMPONENTS if getattr(est, n) is None]
     if missing:
         raise InsufficientDataError(
@@ -300,6 +304,10 @@ def _pure_covariance(est: CovarianceEstimate) -> CovarianceEstimate:
     check(-excess, _UNCERTAINTY_SLACK, InvalidCovarianceError, lambda: "fitted variances "
           f"give sigma_xx sigma_pp = {sxx * spp:.6f} < 1/4: no pure Gaussian state is "
           "compatible")
+    det = sxx * spp - sxp * sxp
+    check(abs(det - 0.25), _PURITY_LIMIT, ModelMismatchError, lambda: "fitted "
+          f"determinant sigma_xx sigma_pp - sigma_xp^2 = {det:.6f}, not 1/4: the "
+          "slices contradict the purity assumption")
     mag = math.sqrt(max(excess, 0.0))
     sxp = math.copysign(mag, sxp) if mag and abs(sxp) > 1e-12 else 0.0
     return CovarianceEstimate(sxx, sxp, (0.25 + sxp ** 2) / sxx, est.residual)

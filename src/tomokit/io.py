@@ -80,9 +80,13 @@ def _built_on_x(x: np.ndarray, path, build):
 
 
 def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; any other bytes are a ParseError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """The lines of a UTF-8 text file; any other bytes, or a file that
+    cannot be read, are a ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot be read: {exc.strerror}") from None
     try:
         return raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

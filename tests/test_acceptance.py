@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tomokit import cli, completeness, core, dynamics, io, reconstruct, transform
+from tomokit.errors import ModelMismatchError
 from tomokit.transform import GaussianState
 
 import oracles
@@ -209,8 +210,16 @@ def test_criterion_7_completeness_closed_forms(grid, small_grid):
             completeness.MeasurementSet((pos, mom)))
         assert two.value == pytest.approx(0.9547712524422623, abs=1e-6)
 
+        # three directions pin a pure state, and refuse a mixed one under
+        # the purity assumption: unit's determinant is 1, not 1/4
+        with pytest.raises(ModelMismatchError, match="contradict the purity"):
+            completeness.gaussian_completeness(
+                completeness.MeasurementSet((pos, mom, obl)), purity_assumed=True)
         three = completeness.gaussian_completeness(
-            completeness.MeasurementSet((pos, mom, obl)), purity_assumed=True)
+            completeness.MeasurementSet(tuple(
+                transform.tomogram_gaussian(vacuum_cov, mu, nu, grid)
+                for mu, nu in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))),
+            purity_assumed=True)
         assert three.value == 0.0
 
         a = core.sample_state(core.FockPreset(0), small_grid)

@@ -438,6 +438,31 @@ def test_measure_three_directions_without_purity_exits_2(tmp_path, capsys):
     assert "ERROR unsupported" in capsys.readouterr().err
 
 
+def test_measure_refuses_purity_for_mixed_slices(tmp_path, capsys):
+    sim, out = tmp_path / "sim", tmp_path / "meas"
+    sim.mkdir()
+    mixed = transform.GaussianState(1.0, 1.0, 0.0)
+    for i, (mu, nu) in enumerate(((1.0, 0.0), (0.0, 1.0), (0.6, 0.8))):
+        io.write_slice_csv(sim / f"slice_{i:03d}.csv",
+                           transform.tomogram_gaussian(mixed, mu, nu, core.default_grid()))
+    assert run("measure", f"--in={sim}", "--assume-pure", f"--out={out}") == 5
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR model-mismatch: ")
+    assert "the slices contradict the purity assumption" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["reconstruct", "measure"])
+def test_unreadable_slice_file_exits_3(tmp_path, capsys, verb):
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.0, 1.0)) == 0
+    (sim / "slice_009.csv").mkdir()
+    assert run(verb, f"--in={sim}", f"--out={out}") == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"ERROR parse-error: {sim / 'slice_009.csv'}: cannot be read: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header", ["# mu=1e155 nu=0.0",      # mu ** 2 overflows
                                     "# mu=1e154 nu=1e154"])  # 2 mu nu overflows
 def test_measure_overflowing_direction_exits_2(tmp_path, capsys, header):
@@ -817,6 +842,19 @@ def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("ERROR invalid-argument: ")
     assert "cannot be created" in line
+
+
+def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    rc = run("simulate", "--state=vacuum", "--grid=-12,12,256",
+             "--direction=1,0", f"--out={out}")
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"ERROR invalid-argument: output file "
+                           f"{str(out / 'manifest.json')!r} cannot be written: ")
+    # the slice went first; the writer leaves no temporary file behind
+    assert sorted(os.listdir(out)) == ["manifest.json", "slice_000.csv"]
 
 
 def test_simulate_slice_narrower_than_grid_spacing_exits_4(tmp_path, capsys):

@@ -563,6 +563,42 @@ def test_pure_report_refuses_an_undetermined_fit(grid):
         completeness.gaussian_completeness(mset, purity_assumed=True)
 
 
+@pytest.mark.parametrize("state", [GaussianState(1.0, 1.0, 0.0),
+                                   GaussianState(2.0, 1.5, 0.7)])
+def test_pure_report_refuses_a_mixed_fit(grid, state):
+    # the fit reads the mixed covariance exactly; purity once overwrote it,
+    # reporting sigma_pp = 0.25 for the first state and sigma_xp = 1.658
+    # for the second
+    mset = MeasurementSet(tuple(gslice(state, mu, nu, grid)
+                                for mu, nu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8))))
+    det = state.sigma_xx * state.sigma_pp - state.sigma_xp ** 2
+    with pytest.raises(ModelMismatchError, match=(
+            rf"= {det:.6f}, not 1/4: the slices contradict the purity assumption "
+            r"\(limit 0\.01\)$")):
+        completeness.gaussian_completeness(mset, purity_assumed=True)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-4, 1e-3])
+@pytest.mark.parametrize("scale", [1.0, 1.2, 2.5])
+@pytest.mark.parametrize("sigma_xx, sigma_xp", [(0.7, 0.3), (1.3, -0.2)])
+def test_pure_report_refuses_exactly_the_mixed_side(grid, sigma_xx, sigma_xp,
+                                                    scale, noise):
+    pure = pure_state(sigma_xx, sigma_xp)
+    state = GaussianState(scale * pure.sigma_xx, scale * pure.sigma_pp,
+                          scale * pure.sigma_xp)
+    slices = [gslice(state, mu, nu, grid) for mu, nu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8))]
+    if noise:
+        slices = [cli._noisy(s, noise, 5, j) for j, s in enumerate(slices)]
+    mset = MeasurementSet(tuple(slices))
+    if scale == 1.0:
+        cov = completeness.gaussian_completeness(mset, purity_assumed=True).covariances
+        assert cov.sigma_xx * cov.sigma_pp - cov.sigma_xp ** 2 == pytest.approx(
+            0.25, abs=1e-12)
+    else:
+        with pytest.raises(ModelMismatchError, match="contradict the purity"):
+            completeness.gaussian_completeness(mset, purity_assumed=True)
+
+
 def test_three_directions_need_purity(grid):
     st = pure_state(0.7, 0.3)
     mset = MeasurementSet((gslice(st, 1.0, 0.0, grid),
