@@ -11,6 +11,7 @@ Each flag is validated once, by its ``type=`` callable in :func:`build_parser`.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from datetime import datetime, timezone
@@ -137,7 +138,17 @@ def _resolve_state(spec: str | None,
 
 def _publish(outdir: str, files: dict, command: str | None = None, extra=()) -> None:
     """Create ``outdir``, write each ``name: (writer, value)`` into it and,
-    given a command, the manifest of those files plus the ``extra`` items."""
+    given a command, the manifest of those files plus the ``extra`` items.
+    An output name taken by a directory is refused before the first write."""
+
+    def refuse(path, reason):
+        raise InvalidArgumentError(f"output file {path!r} cannot be "
+                                   f"written: {reason}") from None
+
+    for name in [*files, *(["manifest.json"] if command is not None else [])]:
+        path = os.path.join(outdir, name)
+        if os.path.isdir(path):
+            refuse(path, os.strerror(errno.EISDIR))
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -151,8 +162,7 @@ def _publish(outdir: str, files: dict, command: str | None = None, extra=()) -> 
         try:
             write(path, value)
         except OSError as exc:
-            raise InvalidArgumentError(f"output file {path!r} cannot be "
-                                       f"written: {exc.strerror}") from None
+            refuse(path, exc.strerror)
 
     for name, (write, value) in files.items():
         put(name, write, value)

@@ -9,14 +9,16 @@ mu*x + nu*p.  The discrete sum over the input grid is evaluated directly
 on the output grid by Bluestein's chirp-z algorithm (Bluestein 1970;
 Rabiner, Schafer & Rader 1969): the product x_k y_n splits into chirps
 in n and k and one in k - n, so the sum becomes a single FFT convolution.
-The two chirp vectors and the transformed kernel form a plan that depends
-only on the grids and the direction; plans are cached, so a repeated
-direction costs two FFTs.  The sum is exact to rounding; no intermediate
-resampling is involved.  Near the position axis, where the grid cannot
-sample the chirp, the same sum runs over the momentum samples at
-(nu, -mu): the Fourier transform maps (x, p) to (p, -x), so this gives the
-transform up to an X-dependent phase, and the tomogram exactly (Koc,
-Ozaktas, Candan & Kutay 2008).
+The input chirp, the transformed kernel chirp and the output vector form a
+plan that depends only on the grids and the direction.  The output vector
+is the kernel chirp's conjugate times a linear phase separable in the
+output index, so a plan costs two exponential passes and one FFT; plans
+are cached, so a repeated direction costs two FFTs.  The sum is exact to
+rounding; no intermediate resampling is involved.  Near the position
+axis, where the grid cannot sample the chirp, the same sum runs over the
+momentum samples at (nu, -mu): the Fourier transform maps (x, p) to
+(p, -x), so this gives the transform up to an X-dependent phase, and the
+tomogram exactly (Koc, Ozaktas, Candan & Kutay 2008).
 """
 
 from __future__ import annotations
@@ -183,6 +185,11 @@ class _Plan(NamedTuple):
     post: np.ndarray  # (M,) half-chirp, output phase and quadrature weight
 
 
+# Output indices k = _BLOCK q + r: the output's linear phase is the outer
+# product of one exponential per block q and one per offset r.
+_BLOCK = 64
+
+
 @lru_cache(maxsize=32)
 def _plan(grid: SpatialGrid, mu: float, nu: float, out_grid: SpatialGrid) -> _Plan:
     """Bluestein plan for dy sum_n v_n exp(i mu y_n^2/(2 nu) - i x_k y_n/nu).
@@ -190,23 +197,33 @@ def _plan(grid: SpatialGrid, mu: float, nu: float, out_grid: SpatialGrid) -> _Pl
     With y_n = y0 + n dy, x_k = x0 + k dx and a = dx dy/nu the phase
     x_k y_n/nu is x_k y0/nu + n dy x0/nu + a nk, and
     nk = (n^2 + k^2 - (k - n)^2)/2 turns the a nk term into a convolution.
+    The kernel chirp c_j = exp(i a j^2/2) covers every output index, so
+    post_k = exp(-i(a k^2/2 + x_k y0/nu)) w, with w = dy/sqrt(2 pi |nu|),
+    is conj(c_k) times the linear phase exp(-i x_k y0/nu) w, the outer
+    product of short exponentials in q and r for k = _BLOCK q + r.  Only
+    ``pre`` and ``c`` are full-length exponentials.
     """
     n_in, n_out = grid.n_points, out_grid.n_points
     a = grid.dx * out_grid.dx / nu
     n = np.arange(n_in, dtype=float)
-    k = np.arange(n_out, dtype=float)
     y = grid.points
     pre = np.exp(1j * (mu * y ** 2 / (2.0 * nu) - n * grid.dx * out_grid.x_min / nu
                        - 0.5 * a * n ** 2))
     # exp(i a j^2/2) at lags j = 0 .. M-1, then j = -(N-1) .. -1 wrapped;
     # a negative lag takes its absolute value's chirp
-    c = np.exp(0.5j * a * (n if n_in >= n_out else k) ** 2)
-    chirp = np.zeros(1 << (n_in + n_out - 2).bit_length(), dtype=complex)
-    chirp[:n_out] = c[:n_out]
-    chirp[chirp.size - n_in + 1:] = c[n_in - 1:0:-1]
-    ker = np.fft.fft(chirp)
-    post = (np.exp(-1j * (0.5 * a * k ** 2 + out_grid.points * grid.x_min / nu))
-            * (grid.dx / np.sqrt(2.0 * np.pi * abs(nu))))
+    c = np.exp(0.5j * a * np.arange(max(n_in, n_out), dtype=float) ** 2)
+    ker = np.zeros(1 << (n_in + n_out - 2).bit_length(), dtype=complex)
+    ker[:n_out] = c[:n_out]
+    ker[ker.size - n_in + 1:] = c[n_in - 1:0:-1]
+    np.fft.fft(ker, out=ker)
+    slope = grid.x_min / nu
+    offsets = np.exp(-1j * slope * (out_grid.x_min
+                                    + out_grid.dx * np.arange(_BLOCK, dtype=float)))
+    offsets *= grid.dx / np.sqrt(2.0 * np.pi * abs(nu))
+    blocks = np.exp(-1j * (slope * _BLOCK * out_grid.dx)
+                    * np.arange(-(-n_out // _BLOCK), dtype=float))
+    post = np.conj(c[:n_out])
+    post *= np.outer(blocks, offsets).ravel()[:n_out]
     for v in (pre, ker, post):
         v.flags.writeable = False
     return _Plan(pre, ker, post)

@@ -310,3 +310,45 @@ def sampled_moments(density, x):
     w = density / np.sum(density)
     mean = float(np.sum(w * x))
     return mean, float(np.sum(w * (x - mean) ** 2))
+
+
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _unit_phasor(phase):
+    """(cos, sin) of a Decimal ``phase`` by Taylor series after reduction
+    to [-pi, pi], at the current context's precision."""
+    two_pi = 2 * +_PI
+    x = phase - two_pi * (phase / two_pi).to_integral_value()
+    tiny = decimal.Decimal(10) ** -(decimal.getcontext().prec + 2)
+    cos = sin = 0
+    term, i = decimal.Decimal(1), 0
+    while abs(term) > tiny:
+        if i % 2 == 0:
+            cos += term if i % 4 == 0 else -term
+        else:
+            sin += term if i % 4 == 1 else -term
+        i += 1
+        term = term * x / i
+    return cos, sin
+
+
+def plan_post_reference(in_grid, nu, out_grid, ks, digits=30):
+    """The output vector of a transform plan at indices ``ks``,
+    exp(-i(a k^2/2 + x_k y0/nu)) dy/sqrt(2 pi |nu|) with a = dx dy/nu, from
+    the float grid parameters taken exactly; the phase and its exponential
+    in ``decimal`` arithmetic at ``digits`` significant digits.  Returns
+    the values rounded to complex128 and the phases as floats."""
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        D = decimal.Decimal
+        dy, y0, dx, x0, v = (D(float(t)) for t in (in_grid.dx, in_grid.x_min,
+                                                   out_grid.dx, out_grid.x_min, nu))
+        a = dx * dy / v
+        w = float(dy) / math.sqrt(2.0 * math.pi * abs(float(nu)))
+        values, phases = [], []
+        for k in ks:
+            phase = a * D(int(k)) ** 2 / 2 + (x0 + int(k) * dx) * y0 / v
+            cos, sin = _unit_phasor(phase)
+            values.append(complex(float(cos), -float(sin)) * w)
+            phases.append(float(phase))
+    return np.array(values), np.array(phases)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import itertools
 import json
 import os
@@ -845,16 +846,19 @@ def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):
 
 
 def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    (out / "manifest.json").mkdir(parents=True)
-    rc = run("simulate", "--state=vacuum", "--grid=-12,12,256",
-             "--direction=1,0", f"--out={out}")
-    assert rc == 2
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"ERROR invalid-argument: output file "
-                           f"{str(out / 'manifest.json')!r} cannot be written: ")
-    # the slice went first; the writer leaves no temporary file behind
-    assert sorted(os.listdir(out)) == ["manifest.json", "slice_000.csv"]
+    # every name, the manifest's included, is checked before the first write
+    for taken, directions in [("manifest.json", ["--direction=1,0"]),
+                              ("slice_001.csv", ["--direction=1,0",
+                                                 "--direction=0.6,0.8"])]:
+        out = tmp_path / taken
+        (out / taken).mkdir(parents=True)
+        rc = run("simulate", "--state=vacuum", "--grid=-12,12,256",
+                 *directions, f"--out={out}")
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"ERROR invalid-argument: output file {str(out / taken)!r} "
+                        f"cannot be written: {os.strerror(errno.EISDIR)}")
+        assert os.listdir(out) == [taken]
 
 
 def test_simulate_slice_narrower_than_grid_spacing_exits_4(tmp_path, capsys):

@@ -44,14 +44,17 @@ def test_transform_matches_direct_quadrature(superposition, mu, nu):
 
 @pytest.mark.parametrize("mu,nu", [(0.7, 0.7), (-0.5, 1.2)])
 def test_transform_samples_onto_other_grid(superposition, mu, nu):
-    out_grid = core.make_grid(-9.0, 11.0, 1500)
-    got = transform._transform_samples(superposition.amplitudes,
-                                       superposition.grid, mu, nu, out_grid)
-    want = oracles.direct_transform(superposition.amplitudes,
-                                    superposition.grid.points, mu, nu,
-                                    out_grid.points)
-    assert got.shape == (out_grid.n_points,)
-    assert np.max(np.abs(got - want)) < 1e-9
+    # fewer outputs than one 64-index block of the output phase, fewer
+    # than the inputs, and more
+    for n_out in (37, 1500, 3000):
+        out_grid = core.make_grid(-9.0, 11.0, n_out)
+        got = transform._transform_samples(superposition.amplitudes,
+                                           superposition.grid, mu, nu, out_grid)
+        want = oracles.direct_transform(superposition.amplitudes,
+                                        superposition.grid.points, mu, nu,
+                                        out_grid.points)
+        assert got.shape == (out_grid.n_points,)
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_cached_plan_matches_cold_plan(superposition):
@@ -173,6 +176,52 @@ def test_plan_kernel_equals_the_two_exp_chirp(grid, vacuum, shape):
         0.5j * a * np.arange(n_in - 1, 0, -1, dtype=float) ** 2)
     plan = transform._plan(in_grid, mu, nu, out_grid)
     assert np.array_equal(plan.ker, np.fft.fft(chirp))
+
+
+@pytest.mark.parametrize("shape", ["equal", "wider-output", "narrower-output",
+                                   "momentum-samples", "short"])
+def test_plan_post_matches_the_decimal_phase(grid, vacuum, shape):
+    mu, nu = 0.6, 0.8
+    in_grid, out_grid = grid, grid
+    if shape == "wider-output":
+        out_grid = core.make_grid(-9.0, 11.0, 3000)
+    elif shape == "narrower-output":
+        out_grid = core.make_grid(-5.0, 5.0, 300)
+    elif shape == "momentum-samples":
+        in_grid = transform._momentum(vacuum.amplitudes, grid, 4096)[1]
+        mu, nu = nu, -mu
+    elif shape == "short":
+        in_grid, out_grid = core.make_grid(-3.0, 3.0, 40), core.make_grid(-2.0, 2.5, 37)
+    n_out = out_grid.n_points
+    ks = np.unique(np.linspace(0, n_out - 1, 129).astype(int))
+    assert ks[0] == 0 and ks[-1] == n_out - 1 and ks.size >= min(64, n_out)
+    want, phase = oracles.plan_post_reference(in_grid, nu, out_grid, ks)
+    w = in_grid.dx / np.sqrt(2.0 * np.pi * abs(nu))
+    bound = 8 * np.finfo(float).eps * (1.0 + np.abs(phase).max()) * w
+    got = transform._plan(in_grid, mu, nu, out_grid).post[ks]
+    assert np.max(np.abs(got - want)) < bound
+    # the bound also holds the single-exponential formula
+    a = in_grid.dx * out_grid.dx / nu
+    one_exp = np.exp(-1j * (0.5 * a * ks.astype(float) ** 2
+                            + out_grid.points[ks] * in_grid.x_min / nu)) * w
+    assert np.max(np.abs(one_exp - want)) < bound
+
+
+def test_cold_plan_evaluates_two_full_length_exponentials(grid):
+    # the input chirp and the kernel chirp; the output vector reuses the
+    # kernel chirp and adds a few short exponentials
+    exp = np.exp
+    count = []
+
+    def counted(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        if np.iscomplexobj(out):
+            count.append(np.size(out))
+        return out
+
+    with mock.patch.object(np, "exp", counted):
+        transform._plan.__wrapped__(grid, 0.6, 0.8, grid)
+    assert 2 * grid.n_points <= sum(count) <= 4193
 
 
 def test_transform_preserves_norm(grid, superposition):
