@@ -164,7 +164,7 @@ class OscillatorTrajectory:
         through the four samples around t (all of them when fewer); a
         sample time returns that sample exactly."""
         t = float(t)
-        lo, hi = self.times[0], self.times[-1]
+        lo, hi = float(self.times[0]), float(self.times[-1])
         if not lo - 1e-12 <= t <= hi + 1e-12:
             raise OutOfRangeError(
                 f"t = {t!r} outside trajectory range [{lo!r}, {hi!r}]")
@@ -185,27 +185,40 @@ def _sample_rate(rate: Callable[[float], float], stages: np.ndarray) -> np.ndarr
     return np.fromiter(map(float, map(rate, stages.tolist())), float, stages.size)
 
 
-def _stages(h, v0, vm, e, ed):
-    """RK4's stage values e2, e3, e4 of epsilon from (e, ed) at each step's
-    start, with v = -omega^2 at its start and midpoint, and the
-    accelerations b1, b2 and slopes ed2, ed3 formed on the way."""
+def _step_increments(h, v0, vm, v1):
+    """N with M = I + N the RK4 step of (epsilon, epsilon'), (2, 2, steps),
+    and the stage values e3, e4 of epsilon, each a pair (from (1, 0), from
+    (0, 1)); e2 is (1, h/2).
+
+    The stages run once on each basis column, as 1-D arrays, with v =
+    -omega^2 at each step's start, midpoint and end.  The only folds are
+    exact ones: a product with 1, 1 + h/2 * 0 (h is positive), and 0 + x
+    where x plainly cannot be -0.0 (see the comments).  The 0 + x and
+    v0 * 0 that remain carry the sign of zero and a non-finite rate's nan,
+    so N has the bits of the stages run on broadcast (2, 1) columns.
+    """
+    n = np.empty((2, 2, h.size))
     h2 = 0.5 * h
-    b1 = v0 * e
-    e2, ed2 = e + h2 * ed, ed + h2 * b1
-    b2 = vm * e2
-    e3, ed3 = e + h2 * ed2, ed + h2 * b2
-    return e2, e3, e + h * ed3, (b1, b2, ed2, ed3)
-
-
-def _step_increments(h, v0, vm, v1) -> np.ndarray:
-    """N with M = I + N the RK4 step of (epsilon, epsilon'), (2, 2, steps):
-    the stages run once on each basis column (1, 0) and (0, 1)."""
-    e, ed = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-    e2, e3, e4, (b1, b2, ed2, ed3) = _stages(h, v0, vm, e, ed)
+    # column (1, 0): b1 = v0, e2 = 1, b2 = vm; ed2 = 0 + h2 v0 is never
+    # -0.0, so neither is any sum that starts from it
+    ed2 = 0.0 + h2 * v0
+    ed3 = h2 * vm
+    e3, e4 = 1.0 + h2 * ed2, 1.0 + h * ed3
     b3 = vm * e3
-    ed4, b4 = ed + h * b3, v1 * e4
-    return h / 6.0 * np.stack((ed + 2.0 * ed2 + 2.0 * ed3 + ed4,
-                               b1 + 2.0 * b2 + 2.0 * b3 + b4))
+    np.add(2.0 * ed2 + 2.0 * ed3, h * b3, out=n[0, 0])
+    np.add(v0 + 2.0 * vm + 2.0 * b3, v1 * e4, out=n[1, 0])
+    # column (0, 1), stage values f3, f4: e2 = h2; ed2 is 1 or nan, so
+    # f3 = 0 + h2 ed2 is h2 ed2
+    b1 = v0 * 0.0
+    b2 = vm * h2
+    ed2 = 1.0 + h2 * b1
+    ed3 = 1.0 + h2 * b2
+    f3, f4 = h2 * ed2, 0.0 + h * ed3
+    b3 = vm * f3
+    np.add(1.0 + 2.0 * ed2 + 2.0 * ed3, 1.0 + h * b3, out=n[0, 1])
+    np.add(b1 + 2.0 * b2 + 2.0 * b3, v1 * f4, out=n[1, 1])
+    n *= h / 6.0
+    return n, (e3, f3), (e4, f4)
 
 
 def _after(x, y) -> np.ndarray:
@@ -248,9 +261,11 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
     every step: at the first step where it drifts beyond 1e-6, or is no
     longer a number, StepSizeError names that step's end time.  Otherwise
     a non-finite rate raises InvalidArgumentError naming its stage time.
-    delta does not feed back, so its RK4 stages are rebuilt as arrays from
-    epsilon and summed in step order; a delta that overflows raises
-    InvalidArgumentError.
+    delta does not feed back.  Its RK4 stages are linear in (epsilon,
+    epsilon') at each step's start, with the stage values of the basis
+    columns for coefficients, so a step adds -(i/sqrt 2)(a epsilon +
+    b epsilon') with real weights a and b; the steps are summed in order
+    from 0, and a delta that overflows raises InvalidArgumentError.
     """
     ratio = spec.t_max / spec.dt
     n_full = int(round(ratio))
@@ -275,8 +290,9 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
         # run on through the steps, and the Wronskian is checked after them
         with np.errstate(over="ignore", invalid="ignore"):
             v = -(ws * ws)
-            n = _prefix_products(_step_increments(
-                h[:n_ok], v[0:2 * n_ok:2], v[1:2 * n_ok:2], v[2:2 * n_ok + 1:2]))
+            n, e3, e4 = _step_increments(
+                h[:n_ok], v[0:2 * n_ok:2], v[1:2 * n_ok:2], v[2:2 * n_ok + 1:2])
+            _prefix_products(n)
             eps, epsd = np.empty(n_ok + 1, complex), np.empty(n_ok + 1, complex)
             eps[0], epsd[0] = 1.0, 1j
             eps.real[1:], eps.imag[1:] = 1.0 + n[0, 0], n[0, 1]
@@ -292,15 +308,17 @@ def solve_epsilon_delta(spec: OscillatorSpec) -> OscillatorTrajectory:
         raise InvalidArgumentError(
             f"omega/force not finite at t = {float(stages[first_bad])!r}")
 
-    # the stages the steps ran, on the complex (epsilon, epsilon'); cumsum
-    # adds in step order
-    e, f0, fm, f1 = eps[:-1], f[0:-1:2], f[1::2], f[2::2]
-    e2, e3, e4, _ = _stages(h, v[0:-1:2], v[1::2], e, epsd[:-1])
-    drive = -1j / np.sqrt(2.0)
+    # delta's stage k is -(i/sqrt 2) f e, and epsilon's stage values e are
+    # (1, 0), (1, h/2), e3 and e4 on (epsilon, epsilon') at the step's
+    # start: a and b weigh those two in h/6 (k1 + 2 k2 + 2 k3 + k4).  The
+    # sum starts from 0j, which makes an unforced delta +0.0
+    f0, fm, f1 = f[0:-1:2], f[1::2], f[2::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        c = (drive * e * f0 + 2.0 * (drive * e2 * fm) + 2.0 * (drive * e3 * fm)
-             + drive * e4 * f1)
-        delta = np.cumsum(np.concatenate(([0j], h / 6.0 * c)))
+        h6, fm2 = h / 6.0, 2.0 * fm
+        a = h6 * (f0 + fm2 + fm2 * e3[0] + f1 * e4[0])
+        b = h6 * (fm2 * (0.5 * h) + fm2 * e3[1] + f1 * e4[1])
+        delta = np.cumsum(np.concatenate(
+            ([0j], -1j / np.sqrt(2.0) * (a * eps[:-1] + b * epsd[:-1]))))
     times = np.concatenate(([0.0], ends))
     times[-1] = spec.t_max
     if not np.isfinite(delta[-1]):

@@ -162,19 +162,30 @@ def _reach(values: np.ndarray, points: np.ndarray) -> float:
 def _kernel_rate(values, grid: SpatialGrid, mu: float, nu: float,
                  out_grid: SpatialGrid) -> float:
     """Fastest local frequency of the kernel exp(i mu y^2/(2 nu) - i X y/nu)
-    over the support of ``values`` and the output grid; infinite at nu = 0."""
+    over the output grid and the input's whole extent, when that is within
+    pi/dx (the support of ``values`` lies in the extent), else over that
+    support; infinite at nu = 0."""
     if nu == 0.0:
         return np.inf
     x_abs = max(abs(out_grid.x_min), abs(out_grid.x_max))
+    bound = (abs(mu) * max(abs(grid.x_min), abs(grid.x_max)) + x_abs) / abs(nu)
+    if bound <= np.pi / grid.dx:
+        return bound
     return (abs(mu) * _reach(values, grid.points) + x_abs) / abs(nu)
+
+
+def _figure(value: float, decimals: int) -> str:
+    """A positive figure for a message: fixed point with ``decimals``
+    below 1e9, else 4 significant digits, so no figure runs to hundreds."""
+    return f"{value:.{decimals}f}" if value < 1e9 else f"{value:.4g}"
 
 
 def _undersampled(grid: SpatialGrid, mu: float, nu: float, rate: float) -> str:
     nyquist = np.pi / grid.dx
     need = np.ceil(grid.n_points * rate / nyquist)  # inf if the rate overflowed
-    return (f"kernel at (mu={mu!r}, nu={nu!r}) oscillates at {rate:.1f} rad "
+    return (f"kernel at (mu={mu!r}, nu={nu!r}) oscillates at {_figure(rate, 1)} rad "
             f"per unit, above the grid Nyquist {nyquist:.1f}; "
-            f"suggest n_points >= {need:.0f}")
+            f"suggest n_points >= {_figure(need, 0)}")
 
 
 class _Plan(NamedTuple):
@@ -274,7 +285,9 @@ def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
     reaches the grid; hard-edged rows, whose spectra run to pi/dx, need
     more than 2N.  A spread the padding cannot hold, or a padding that no
     array can hold, raises ResolutionError naming the spread; further from
-    the axis the position side's ResolutionError is raised.
+    the axis the position side's ResolutionError is raised.  When no X/mu
+    is on the grid, as at a direction so short that X/mu overflows, the
+    result is zero and no plan is built.
     """
     rate = _kernel_rate(values, grid, mu, nu, out_grid)
     if rate <= np.pi / grid.dx:
@@ -301,9 +314,12 @@ def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
             f"near-axis kernel at (mu={mu!r}, nu={nu!r}) spreads the samples by "
             f"{spread:.3g}, not within the room (n - N + 1) dx = {room:.3g} of "
             f"n = {n} wavenumbers; suggest a longer direction or a coarser grid")
-    y = out_grid.points / mu
-    return np.where((y >= grid.x_min) & (y <= grid.x_max),
-                    _transform_samples(phi, kgrid, nu, -mu, out_grid), 0.0)
+    with np.errstate(over="ignore"):  # an X/mu past the largest float is off the grid
+        y = out_grid.points / mu
+    inside = (y >= grid.x_min) & (y <= grid.x_max)
+    if not inside.any():
+        return np.zeros(np.shape(values)[:-1] + (out_grid.n_points,), complex)
+    return np.where(inside, _transform_samples(phi, kgrid, nu, -mu, out_grid), 0.0)
 
 
 def _momentum(values: np.ndarray, grid: SpatialGrid,

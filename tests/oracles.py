@@ -171,6 +171,24 @@ def sequential_step_products(n):
     return out
 
 
+def staged_step_increments(h, v0, vm, v1):
+    """The RK4 step increments N (2, 2, m) of (epsilon, epsilon'), with
+    M = I + N: one stage body run on the basis columns (1, 0) and (0, 1)
+    as broadcast (2, 1) arrays against the steps h and the rates
+    v = -omega^2 at each step's start v0, midpoint vm and end v1."""
+    e, ed = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    h2 = 0.5 * h
+    b1 = v0 * e
+    e2, ed2 = e + h2 * ed, ed + h2 * b1
+    b2 = vm * e2
+    e3, ed3 = e + h2 * ed2, ed + h2 * b2
+    e4 = e + h * ed3
+    b3 = vm * e3
+    ed4, b4 = ed + h * b3, v1 * e4
+    return h / 6.0 * np.stack((ed + 2.0 * ed2 + 2.0 * ed3 + ed4,
+                               b1 + 2.0 * b2 + 2.0 * b3 + b4))
+
+
 def rk4_epsilon_delta(omega, force, t_max, dt):
     """Classical RK4 on the stacked state (epsilon, epsilon', delta) with
     omega and force called at every stage; returns the sample times and

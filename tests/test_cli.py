@@ -797,7 +797,13 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
      "invalid-argument", 2),
     (["reconstruct", "--in={three}", "--breakpoints=-1e308,1e308"],
      "invalid-argument", 2),
+    # directions so short that X/mu overflows: no output sample is reached
+    (["simulate", "--state=vacuum", "--direction=5e-324,5e-324"],
+     "resolution-error", 4),
+    (["simulate", "--state=vacuum", "--direction=1e-320,1e-320"],
+     "resolution-error", 4),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):
     pos, empty, out = tmp_path / "pos", tmp_path / "empty", tmp_path / "out"
     assert simulate_vacuum(pos, (1.0, 0.0)) == 0
@@ -832,6 +838,13 @@ def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status
         assert os.listdir(out) == ["reconstruction.json"]
     else:
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("direction", ["1,5e-324", "5e-324,1"])
+def test_direction_with_one_subnormal_component_succeeds(tmp_path, direction):
+    assert run("simulate", "--state=vacuum", f"--direction={direction}",
+               f"--out={tmp_path / 'out'}") == 0
 
 
 def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):

@@ -106,6 +106,13 @@ def test_trajectory_range_checked():
         traj.at(-0.1)
 
 
+def test_out_of_range_time_names_the_range_in_floats():
+    traj = dynamics.solve_epsilon_delta(make_spec(t_max=1.0, dt=0.01))
+    with pytest.raises(OutOfRangeError) as exc:
+        traj.at(2.0)
+    assert str(exc.value) == "t = 2.0 outside trajectory range [0.0, 1.0]"
+
+
 def test_non_finite_times_raise(vacuum):
     traj = dynamics.solve_epsilon_delta(make_spec(t_max=1.0))
     hist = dynamics.harmonic_position_history(vacuum, [0.0, 0.5])
@@ -308,6 +315,53 @@ def test_prefix_scan_matches_sequential_products(m, seed):
     assert np.array_equal(got[:, :, 0], first)
     bound = np.sqrt(m) * np.finfo(float).eps * max(1.0, np.max(np.abs(ref)))
     assert np.max(np.abs(got - ref)) <= bound
+
+
+# rates v = -omega^2 as the solver meets them (-0.0 in free flight, -inf
+# where omega^2 overflows, nan past a non-finite omega), and +0.0 and
+# -1e300 for the sign of zero and overflow inside the stage sums
+_STEP_RATES = st.floats(-1e4, -1e-4) | st.sampled_from(
+    [-np.inf, np.nan, -0.0, 0.0, -1e300])
+
+
+@st.composite
+def step_samples(draw):
+    """Steps h, dt over five decades with a last step as long or shorter,
+    and the rates (v0, vm, v1) at each step's start, midpoint and end."""
+    m = draw(st.integers(1, 49))
+    h = np.full(m, 10.0 ** draw(st.floats(-5.0, 0.0)))
+    h[-1] *= draw(st.just(1.0) | st.floats(0.01, 1.0))
+    rates = st.lists(_STEP_RATES, min_size=m, max_size=m).map(np.array)
+    return (h, *(draw(rates) for _ in range(3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=step_samples())
+@example(steps=(np.full(5, 1e-3), *np.full((3, 5), -0.0)))  # free flight
+@example(steps=(np.full(3, 1e-3), np.array([-1.0, -np.inf, -1.0]),
+                np.full(3, -1.0), np.full(3, -1.0)))  # omega^2 overflows
+@example(steps=(np.array([0.1, 0.1, 0.03]), np.full(3, -2.0), np.full(3, -2.5),
+                np.full(3, -3.0)))  # a short last step
+def test_step_increments_keep_the_broadcast_stages_bits(steps):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, _, _ = dynamics._step_increments(*steps)
+        want = oracles.staged_step_increments(*steps)
+    assert np.array_equal(got, want, equal_nan=True)
+    # IEEE 754 leaves the sign of a nan result unspecified; every number's
+    # sign, zeros included, must match
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+@pytest.mark.parametrize("omega", [dynamics.constant_rate(1.3),
+                                   dynamics.constant_rate(0.0)],
+                         ids=["oscillator", "free-flight"])
+def test_unforced_delta_is_positive_zero(omega):
+    traj = dynamics.solve_epsilon_delta(
+        OscillatorSpec(omega, dynamics.constant_rate(0.0), 2.0005, 1e-3))
+    for part in (traj.delta.real, traj.delta.imag):
+        assert np.all(part == 0.0)
+        assert not np.signbit(part).any()
 
 
 def stage_times(t_max, dt):

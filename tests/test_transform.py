@@ -296,6 +296,29 @@ def test_resolution_precheck_suggests_larger_grid(vacuum):
         transform.tomogram(psi, 0.04, 0.05)
 
 
+def test_undersampled_message_keeps_its_figures_short(vacuum):
+    with pytest.raises(ResolutionError) as exc:
+        transform.tomogram(vacuum, 1e-160, 2e-160)
+    assert str(exc.value) == (
+        "kernel at (mu=1e-160, nu=2e-160) oscillates at 6e+160 rad per unit, "
+        "above the grid Nyquist 268.0; suggest n_points >= 4.586e+161")
+    with pytest.raises(ResolutionError) as exc:
+        transform.tomogram(vacuum, 0.01, 0.02)
+    assert str(exc.value) == (
+        "kernel at (mu=0.01, nu=0.02) oscillates at 603.7 rad per unit, "
+        "above the grid Nyquist 268.0; suggest n_points >= 4615")
+
+
+def test_rate_within_the_grid_bound_skips_the_support_scan(vacuum):
+    # the support lies within the grid, so a rate within pi/dx over the whole
+    # extent needs no scan of the values; near the axis the scan still runs
+    with mock.patch.object(transform, "_reach", wraps=transform._reach) as reach:
+        transform.tomogram(vacuum, 0.6, 0.8)
+        assert reach.call_count == 0
+        transform.tomogram(vacuum, 1.0, 0.01)
+        assert reach.call_count >= 1
+
+
 def test_slice_rejects_negative_density(grid):
     dens = np.exp(-grid.points ** 2) / np.sqrt(np.pi)
     dens[10] = -1e-3
