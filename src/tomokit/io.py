@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,10 +25,13 @@ _GRID_UNIFORM_RTOL = 1e-9
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.  The
+    temp file is created with mode 0o666 less the umask, as open(path, "w")
+    creates a file, and the rename keeps that mode."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

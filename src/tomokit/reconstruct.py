@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .core import SpatialGrid, WaveFunction, _increasing
 from .errors import (
@@ -219,6 +220,23 @@ def _solve(position: TomogramSlice, extras, breakpoints):
     return fit
 
 
+def _factor(ab: np.ndarray) -> np.ndarray:
+    """R of the QR of the column-major (m, w) array ``ab``, bit for bit
+    what np.linalg.qr(ab, mode="r") returns, without its two copies of ab:
+    LAPACK dgeqrf overwrites ab in place (ab.T is its memory in the C order
+    that lapack_lite takes), with the workspace its query asks for, sized
+    as numpy sizes it.  A nonzero LAPACK info raises LinAlgError."""
+    m, w = ab.shape
+    tau, size = np.empty(min(m, w)), np.zeros(1)
+    lapack_lite.dgeqrf(m, w, ab.T, m, tau, size, -1, 0)  # the workspace query
+    work = np.empty(max(1, w, int(size[0])))
+    info = lapack_lite.dgeqrf(m, w, ab.T, m, tau, work, work.size, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf refused argument {-info} of an "
+                                    f"({m}, {w}) array")
+    return np.triu(ab[:min(m, w)])
+
+
 def _fit(position: TomogramSlice, extras, breakpoints):
     """Shared least-squares assembly; returns (sol_pairs, residual, cond,
     status, populated), the last marking the segments with any magnitude.
@@ -231,7 +249,7 @@ def _fit(position: TomogramSlice, extras, breakpoints):
     segment has no unknowns: its rows are checked by the residual alone.
     Cuts that leave a segment with no grid sample are refused.
 
-    The array is column-major, so its QR takes it without a transpose.
+    The array is column-major, so LAPACK factors it in place (_factor).
     Q is orthogonal, so R keeps A's singular values and every |A x - b|:
     an SVD of R's leading columns gives the condition estimate and the
     minimum-norm solution, with lstsq's rank cutoff eps max(rows, n) sv[0].
@@ -258,7 +276,7 @@ def _fit(position: TomogramSlice, extras, breakpoints):
             np.multiply(prod.imag, 2.0, out=block[:, i + 1:j:2].T)
             i = j
         block[:, -1] = s.density - np.sum(np.abs(stack) ** 2, axis=0)
-    r = np.linalg.qr(ab, mode="r")
+    r = _factor(ab)
     u, sv, vt = np.linalg.svd(r[:, :-1], full_matrices=False)
     rank = np.count_nonzero(sv > np.finfo(float).eps * max(ab.shape[0], n) * sv[:1])
     sol = vt[:rank].T @ ((u[:, :rank].T @ r[:, -1]) / sv[:rank])

@@ -286,8 +286,8 @@ def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
     more than 2N.  A spread the padding cannot hold, or a padding that no
     array can hold, raises ResolutionError naming the spread; further from
     the axis the position side's ResolutionError is raised.  When no X/mu
-    is on the grid, as at a direction so short that X/mu overflows, the
-    result is zero and no plan is built.
+    is on the grid, as at a direction so short that X/mu overflows, or the
+    plan's largest phase overflows, the result is zero and no plan is built.
     """
     rate = _kernel_rate(values, grid, mu, nu, out_grid)
     if rate <= np.pi / grid.dx:
@@ -316,8 +316,12 @@ def _quadrature(values: np.ndarray, grid: SpatialGrid, mu: float, nu: float,
             f"n = {n} wavenumbers; suggest a longer direction or a coarser grid")
     with np.errstate(over="ignore"):  # an X/mu past the largest float is off the grid
         y = out_grid.points / mu
+        # the largest phase of the momentum-side plan, whose rate is dk dx/mu
+        top = max(n, out_grid.n_points)
+        x_abs = max(abs(out_grid.x_min), abs(out_grid.x_max))
+        phase = kgrid.dx * top * (top * out_grid.dx + x_abs) / abs(mu)
     inside = (y >= grid.x_min) & (y <= grid.x_max)
-    if not inside.any():
+    if not (inside.any() and phase < np.inf):
         return np.zeros(np.shape(values)[:-1] + (out_grid.n_points,), complex)
     return np.where(inside, _transform_samples(phi, kgrid, nu, -mu, out_grid), 0.0)
 

@@ -802,6 +802,11 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
      "resolution-error", 4),
     (["simulate", "--state=vacuum", "--direction=1e-320,1e-320"],
      "resolution-error", 4),
+    # X = 0 is on the grid, but the momentum-side plan's phases overflow
+    (["simulate", "--state=vacuum", "--grid=-12,12,2049", "--direction=5e-324,5e-324"],
+     "resolution-error", 4),
+    (["simulate", "--state=vacuum", "--grid=-12,12,2049", "--direction=1e-306,1e-306"],
+     "resolution-error", 4),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failing_verb_prints_one_error_line(tmp_path, capsys, argv, code, status):

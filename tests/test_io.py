@@ -161,6 +161,19 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_atomic_write_takes_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("plain\n")
+        io.atomic_write_text(tmp_path / "atomic.txt", "atomic\n")
+    finally:
+        os.umask(previous)
+    want = os.stat(tmp_path / "plain.txt").st_mode
+    assert os.stat(tmp_path / "atomic.txt").st_mode == want == 0o100666 & ~umask
+
+
 def test_sha256_of_matches_hashlib(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"tomokit checksum probe")

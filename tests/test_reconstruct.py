@@ -585,14 +585,21 @@ def test_kept_fit_is_read_only(grid, directions):
 
 
 def captured_fit(position, extras, cuts):
-    """_fit's result, or the error it raised, with the [A | b] it factored."""
-    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+    """_fit's result, or the error it raised, with the [A | b] it factored,
+    copied before _factor overwrites it."""
+    factor, arrays = reconstruct._factor, []
+
+    def spy(ab):
+        arrays.append(ab.copy(order="K"))
+        return factor(ab)
+
+    with mock.patch.object(reconstruct, "_factor", spy):
         try:
             got = reconstruct._fit(position, extras, np.asarray(cuts, dtype=float))
         except TomokitError as exc:
             got = exc
-    [call] = qr.call_args_list
-    return got, call.args[0]
+    [ab] = arrays
+    return got, ab
 
 
 def assert_fit_matches_lstsq(got, ab):
@@ -639,6 +646,63 @@ def test_singular_and_one_segment_fits_match_lstsq(grid, vacuum, directions):
                            [transform.tomogram(vacuum, 0.6, 0.8)], [])
     assert got[0].size == 0 and got[2] == 1.0 and got[3] == "ok"
     assert_fit_matches_lstsq(got, ab)
+
+
+# ---------------------------------------------------------------- _factor
+
+
+@st.composite
+def column_major(draw):
+    """An F-ordered normal array of 1-3000 rows (often fewer than its
+    columns) and 1-13 columns; some draws repeat a column, so rank
+    deficiency is covered too."""
+    m = draw(st.one_of(st.integers(1, 13), st.integers(1, 3000)))
+    w = draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.asfortranarray(rng.standard_normal((m, w)))
+    if w > 1 and draw(st.booleans()):
+        a[:, -1] = a[:, 0]
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(ab=column_major())
+@example(ab=np.asfortranarray(np.random.default_rng(3).standard_normal((8192, 3))))
+@example(ab=np.asfortranarray(np.random.default_rng(7).standard_normal((8192, 7))))
+@example(ab=np.asfortranarray(np.random.default_rng(13).standard_normal((8192, 13))))
+@example(ab=np.asfortranarray(np.random.default_rng(1).standard_normal((4, 13))))
+@example(ab=np.asfortranarray(np.random.default_rng(2).standard_normal((2048, 1))))
+def test_factor_is_numpy_qr_r_bit_for_bit(ab):
+    want = np.linalg.qr(ab, mode="r")
+    got = reconstruct._factor(ab)
+    assert np.array_equal(got, want)
+    # the layout too, so every product taken of it rounds alike
+    assert got.shape == want.shape and got.strides == want.strides
+
+
+def test_factor_keeps_the_dgeqrf_contract():
+    # lapack_lite checks neither lengths nor leading dimensions
+    ab = np.asfortranarray(np.random.default_rng(5).standard_normal((300, 7)))
+    dgeqrf, calls = reconstruct.lapack_lite.dgeqrf, []
+
+    def spy(m, n, a, lda, tau, work, lwork, info):
+        calls.append(lwork)
+        assert (m, n) == ab.shape and a.shape == (n, m) and np.shares_memory(a, ab)
+        assert a.flags.c_contiguous and lda >= max(1, m)
+        assert tau.size >= min(m, n) and work.size >= max(1, lwork)
+        return dgeqrf(m, n, a, lda, tau, work, lwork, info)
+
+    with mock.patch.object(reconstruct.lapack_lite, "dgeqrf", spy):
+        reconstruct._factor(ab)
+    assert calls[0] == -1 and calls[1] >= ab.shape[1]
+
+
+def test_factor_raises_on_nonzero_lapack_info():
+    ab = np.asfortranarray(np.ones((5, 2)))
+    with mock.patch.object(reconstruct.lapack_lite, "dgeqrf",
+                           return_value={"info": -4}):
+        with pytest.raises(np.linalg.LinAlgError, match="argument 4"):
+            reconstruct._factor(ab)
 
 
 # ---------------------------------------------------------------- README
