@@ -370,7 +370,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.handler(args)
+        try:
+            args.handler(args)
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            raise InvalidArgumentError(
+                f"the {args.command} request does not fit in memory{detail}") from None
     except TomokitError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,6 +147,21 @@ class MeasurementSet:
 _STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+@lru_cache(maxsize=64)
+def _direction_system(rows: bytes):
+    """What the covariance fit takes from its direction rows alone, keyed on
+    the bytes of the float rows, so (-0.0, 1.0) and (0.0, 1.0) stay apart:
+    the rows' SVD (u, sv, vt), read-only, its rank (singular values above
+    1e-10 of the largest) and, per component, whether the rows' span
+    determines it (its null-space column has norm at most 1e-8)."""
+    u, sv, vt = np.linalg.svd(np.frombuffer(rows).reshape(-1, 3))
+    for f in (u, sv, vt):
+        f.flags.writeable = False
+    rank = int(np.sum(sv > sv[0] * 1e-10))
+    null = vt[rank:]
+    return u, sv, vt, rank, tuple(np.linalg.norm(null[:, j]) <= 1e-8 for j in range(3))
+
+
 def _trapezoid(y: np.ndarray, dx: float) -> float:
     """Trapezoid integral of samples on a uniform grid of spacing dx; the
     interior is summed apart, so an infinite end sample gives inf, not nan."""
@@ -221,11 +237,14 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
     to within 1e-3, and components outside the measured span come back
     None rather than as a min-norm guess.  One SVD of the direction rows
     gives the rank (singular values above 1e-10 of the largest), the
-    span and the min-norm solution truncated at that rank.  A variance
-    that is not positive and finite, a slice narrower than dx, or a KS
-    distance that is not at most 0.01 (nan included), raises
-    ModelMismatchError.  A direction whose
-    row (mu^2, 2 mu nu, nu^2) overflows raises InvalidArgumentError.
+    span and the min-norm solution truncated at that rank.  It depends on
+    the directions alone, so it is computed once per direction set, keyed
+    on the rows' exact bits, and reused by every fit on that set
+    (:func:`_direction_system`).  A variance that is not positive and
+    finite, a slice narrower than dx, or a KS distance that is not at most
+    0.01 (nan included), raises ModelMismatchError.  A direction whose row
+    (mu^2, 2 mu nu, nu^2) overflows raises InvalidArgumentError, on every
+    call.
     """
     if len(mset) == 0:
         raise InvalidArgumentError("empty measurement set")
@@ -245,15 +264,12 @@ def covariance_from_tomograms(mset: MeasurementSet) -> CovarianceEstimate:
                 f"or one that overflows: {float(v[i])!r}")
         check(ks, _KS_LIMIT, ModelMismatchError, lambda: f"slice at ({s.mu!r}, "
               f"{s.nu!r}) is not a zero-mean Gaussian: KS distance {ks:.3f}")
-    u, sv, vt = np.linalg.svd(rows)
-    rank = int(np.sum(sv > sv[0] * 1e-10))
+    u, sv, vt, rank, determined = _direction_system(rows.tobytes())
     sol = vt[:rank].T @ ((u[:, :rank].T @ v) / sv[:rank])
-    null = vt[rank:]
     residual = float(np.max(np.abs(rows @ sol - v) / np.maximum(1.0, np.abs(v))))
     check(residual, _FIT_RESIDUAL_LIMIT, InconsistentTomogramsError, lambda: (
         f"variance system residual {residual:.2e}: slices disagree about the covariance"))
-    vals = [float(sol[j]) if np.linalg.norm(null[:, j]) <= 1e-8 else None
-            for j in range(3)]
+    vals = [float(x) if ok else None for x, ok in zip(sol, determined)]
     return CovarianceEstimate(vals[0], vals[1], vals[2], residual)
 
 

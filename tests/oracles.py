@@ -370,3 +370,20 @@ def plan_post_reference(in_grid, nu, out_grid, ks, digits=30):
             values.append(complex(float(cos), -float(sin)) * w)
             phases.append(float(phase))
     return np.array(values), np.array(phases)
+
+
+def thermal_entropy(nbar):
+    """Entropy in nats of the photon-number distribution
+    p_k = nbar^k / (nbar + 1)^(k + 1) of a thermal state, summed term by
+    term until the terms vanish: the entropy of a Gaussian state whose
+    symplectic eigenvalue is nbar + 1/2."""
+    if nbar == 0.0:
+        return 0.0
+    log_q, log_norm = math.log(nbar / (nbar + 1.0)), math.log(nbar + 1.0)
+    terms, k = [], 0
+    while True:
+        log_p = k * log_q - log_norm
+        terms.append(-math.exp(log_p) * log_p)
+        if k > 10 and terms[-1] < 1e-20:
+            return math.fsum(terms)
+        k += 1

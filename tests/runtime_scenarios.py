@@ -184,6 +184,10 @@ def refused_requests(s):
     # refused, writing nothing
     s.refused(4, "step-size-too-large", "evolve", "--omega=constant:40", "--t-max=60",
               "--dt=0.1", "--out=evo4")
+    # a grid no array can hold: numpy refuses it at once, and the verb
+    # prints one line instead of a traceback, writing nothing
+    s.refused(2, "invalid-argument", "simulate", "--state=vacuum",
+              "--grid=-12,12,1000000000000", "--direction=1,0", "--out=big")
 
 
 @scenario

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import importlib
 import itertools
 import json
 import os
@@ -112,6 +113,18 @@ def test_simulate_padding_beyond_memory_exits_4(tmp_path, capsys, grid, state, d
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("ERROR resolution-error: near-axis padding")
     assert "does not fit in memory" in line
+    assert not out.exists()
+
+
+def test_simulate_grid_beyond_memory_exits_2(tmp_path, capsys):
+    # 1e12 points, 7.28 TiB: numpy refuses the grid's array before any
+    # allocation, and the verb prints one line instead of a traceback
+    out = tmp_path / "big"
+    assert run("simulate", "--state=vacuum", "--grid=-12,12,1000000000000",
+               "--direction=1,0", f"--out={out}") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR invalid-argument: the simulate request does not "
+                           "fit in memory: Unable to allocate 7.28 TiB")
     assert not out.exists()
 
 
@@ -754,6 +767,41 @@ def test_evolve_lost_wronskian_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError  # as Python's own allocator raises it, with no message
+
+
+@pytest.mark.parametrize("argv, module, name, says", [
+    # each slice's chirp-z transform: its plan and its work array
+    (["simulate", "--state=vacuum", "--grid=-12,12,2049", "--direction=0.6,0.8"],
+     "transform", "_transform_samples", "the simulate request does not fit in memory"),
+    # the in-place QR of the phase fit's [A | b]
+    (["reconstruct", "--in={sim}"], "reconstruct", "_factor",
+     "the reconstruct request does not fit in memory"),
+    # the step arrays keep solve_epsilon_delta's own refusal, which names dt
+    (["evolve", "--omega=constant:1", "--t-max=1", "--dt=0.01"], "dynamics",
+     "_step_increments", "100 steps of dt = 0.01 do not fit in memory; raise dt"),
+    # the position history that recovered tomograms are read from
+    (["evolve", "--omega=constant:1", "--t-max=1", "--dt=0.01", "--state=vacuum",
+      "--recover-at=0,1"], "dynamics", "harmonic_position_history",
+     "the evolve request does not fit in memory"),
+    # each slice's KS check, the measure verb's largest arrays
+    (["measure", "--in={sim}"], "completeness", "_ks_distance",
+     "the measure request does not fit in memory"),
+])
+def test_memory_error_is_one_refusal(tmp_path, capsys, monkeypatch, argv, module,
+                                     name, says):
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.6, 0.8)) == 0
+    monkeypatch.setattr(importlib.import_module(f"tomokit.{module}"), name,
+                        _out_of_memory)
+    capsys.readouterr()
+    assert run(*[a.format(sim=sim) for a in argv], f"--out={out}") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"ERROR invalid-argument: {says}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code, status", [
     (["simulate", "--state=vacuum", "--grid=-12,12,128", "--direction=1,0",
       "--direction=8,0.05"], "resolution-error", 4),
@@ -1132,6 +1180,8 @@ def fuzz_inputs(tmp_path_factory):
                "--state=vacuum", "--out={out}"])
 @example(argv=["reconstruct", "--in={slices}", "--method=piecewise",
                "--breakpoints=-1e308,1e308", "--out={out}"])
+@example(argv=["simulate", "--state=vacuum", "--grid=-12,12,1000000000000",
+               "--direction=1,0", "--out={out}"])
 def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, argv):
     out = fuzz_inputs["root"] / f"out{next(fuzz_inputs['runs'])}"
     argv = [a.format(out=out, **fuzz_inputs) for a in argv]

@@ -418,6 +418,62 @@ def _outcome(fn, *args, **kwargs) -> str:
         return repr((type(exc), str(exc)))
 
 
+def _cold_fit(mset) -> str:
+    """_outcome of the fit with the direction-system cache emptied first."""
+    completeness._direction_system.cache_clear()
+    return _outcome(completeness.covariance_from_tomograms, mset)
+
+
+def test_direction_system_hit_is_the_cold_fit(grid):
+    # two states along one direction set: the second fit reuses the first's
+    # SVD and is bit for bit its own cold fit (repr tells every float apart)
+    dirs = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6)]
+    for k in range(1, len(dirs) + 1):
+        a, b = (MeasurementSet(tuple(gslice(st, mu, nu, grid) for mu, nu in dirs[:k]))
+                for st in (pure_state(0.7, 0.3), GaussianState(1.3, 0.9, -0.2)))
+        cold = _cold_fit(b)
+        completeness._direction_system.cache_clear()
+        completeness.covariance_from_tomograms(a)
+        assert _outcome(completeness.covariance_from_tomograms, b) == cold
+        info = completeness._direction_system.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+def test_direction_system_keeps_the_sign_of_a_zero_apart(grid):
+    # (0.0, 1.0) and (-0.0, 1.0) give variance rows whose 2 mu nu differ in
+    # the sign of a zero: each set is its own entry with its own cold result
+    st = GaussianState(1.3, 0.9, -0.2)
+    msets = [MeasurementSet((gslice(st, 1.0, 0.0, grid), gslice(st, mu, 1.0, grid)))
+             for mu in (0.0, -0.0)]
+    cold = [_cold_fit(m) for m in msets]
+    completeness._direction_system.cache_clear()
+    assert [_outcome(completeness.covariance_from_tomograms, m) for m in msets] == cold
+    info = completeness._direction_system.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+
+def test_direction_system_is_bounded_and_read_only():
+    # position and one oblique row: sigma_xx is determined, the rest is not
+    rows = np.array([[1.0, 0.0, 0.0], [0.36, 0.96, 0.64]])
+    u, sv, vt, rank, determined = completeness._direction_system(rows.tobytes())
+    assert completeness._direction_system.cache_info().maxsize is not None
+    assert not any(a.flags.writeable for a in (u, sv, vt))
+    assert (rank, determined) == (2, (True, False, False))
+
+
+def test_overflowing_direction_is_refused_on_every_call(grid):
+    density = gslice(pure_state(0.7, 0.3), 1.0, 0.0, grid).density
+    mset = MeasurementSet((TomogramSlice(0.0, 1.0, grid, density),
+                           TomogramSlice(1e155, 0.0, grid, density)))
+    completeness._direction_system.cache_clear()
+    for _ in range(3):
+        with pytest.raises(InvalidArgumentError) as refused:
+            completeness.covariance_from_tomograms(mset)
+        assert str(refused.value) == ("direction (1e+155, 0.0) overflows the variance "
+                                      "system; use a shorter direction")
+    assert completeness._direction_system.cache_info().currsize == 0
+
+
 def _outcomes(bank) -> list[str]:
     got = []
     for k in range(1, len(bank) + 1):
