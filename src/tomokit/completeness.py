@@ -175,7 +175,7 @@ def slice_variance(s: TomogramSlice) -> float:
     narrower than dx raises ModelMismatchError (see :func:`_ks_distance`)."""
     if s not in _STATS:
         with np.errstate(over="ignore", invalid="ignore"):
-            v = _trapezoid(s.grid.points ** 2 * s.density, s.grid.dx)
+            v = _trapezoid(s.grid._squares * s.density, s.grid.dx)
         _STATS[s] = (v, _ks_distance(s, v) if 0.0 < v < math.inf else None)
     return _STATS[s][0]
 
@@ -202,7 +202,7 @@ def _ks_distance(s: TomogramSlice, variance: float) -> float:
     x, dx, d = s.grid.points, s.grid.dx, s.density
     _check_width(s.mu, s.nu, dx, variance, ModelMismatchError)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.exp(-(x * x) / (2.0 * variance))
+        g = np.exp(-s.grid._squares / (2.0 * variance))
         g *= -1.0 / math.sqrt(2.0 * math.pi * variance)
         g += d * (1.0 / _trapezoid(d, dx))
         run = np.cumsum(g)

@@ -73,6 +73,15 @@ class SpatialGrid:
         x.flags.writeable = False
         return x
 
+    @cached_property
+    def _squares(self) -> np.ndarray:
+        """The points squared, x * x rounded once as ``x ** 2`` rounds it;
+        inf where that overflows, with no warning whoever asks first."""
+        with np.errstate(over="ignore"):
+            x2 = self.points * self.points
+        x2.flags.writeable = False
+        return x2
+
 
 def _increasing(values, what: str, min_size: int = 0) -> np.ndarray:
     """A read-only float64 copy of ``values``: at least ``min_size`` finite

@@ -31,7 +31,7 @@ from .errors import (
     StepSizeError,
     check,
 )
-from .transform import TomogramSlice, _direction, _quadrature, tomogram
+from .transform import TomogramSlice, _density, _direction, _quadrature
 
 __all__ = [
     "OscillatorSpec",
@@ -374,8 +374,9 @@ def harmonic_position_history(psi0: WaveFunction, times,
     """Record |psi(t, x)|^2 under H = p^2/2 + omega^2 x^2/2.
 
     The position density at time t is the initial tomogram at
-    (cos omega t, sin omega t/omega), so each slice is one transform of
-    psi0, relabelled (1, 0).  Both components take the one rounded phase
+    (cos omega t, sin omega t/omega), so each slice is the density of one
+    transform of psi0 (``transform._density``), admitted once as the
+    (1, 0) slice.  Both components take the one rounded phase
     omega*t, so the direction stays on that ellipse however large t is;
     the second is written t sin(omega t)/(omega t), which is t when omega t
     rounds to 0 (free flight, or a subnormal omega).  The
@@ -390,8 +391,8 @@ def harmonic_position_history(psi0: WaveFunction, times,
     slices = []
     for t in times:
         phase = omega * t
-        s = tomogram(psi0, np.cos(phase), t * (np.sin(phase) / phase) if phase else t)
-        slices.append(TomogramSlice(1.0, 0.0, psi0.grid, s.density))
+        rho = _density(psi0, np.cos(phase), t * (np.sin(phase) / phase) if phase else t)
+        slices.append(TomogramSlice(1.0, 0.0, psi0.grid, rho))
     return PositionHistory(times, slices)
 
 

@@ -63,8 +63,10 @@ def _direction(mu, nu) -> tuple[float, float]:
 class TomogramSlice:
     """Tomographic density of the quadrature mu*x + nu*p on a grid.
 
-    Invariants: (mu, nu) finite and != (0, 0); density >= 0;
-    sum(density) dx = 1 within 1e-6.  The density is a read-only copy.
+    Invariants: (mu, nu) finite and != (0, 0); density real, finite and
+    positive somewhere; no sample below -1e-9 of the peak, and negative
+    ones clamped to 0; sum(density) dx = 1 within 1e-6.  The density is a
+    read-only copy.
     Equality and hashing are by identity, which the weak memos key on.
     """
 
@@ -77,19 +79,24 @@ class TomogramSlice:
         mu, nu = _direction(self.mu, self.nu)
         if not isinstance(self.grid, SpatialGrid):
             raise InvalidArgumentError("grid must be a SpatialGrid")
+        if np.iscomplexobj(self.density):
+            raise InvalidArgumentError("density must be real")
         d = np.asarray(self.density, dtype=float)
         if d.shape != (self.grid.n_points,):
             raise InvalidArgumentError(
                 f"density must have shape ({self.grid.n_points},), got {d.shape}")
-        if not np.all(np.isfinite(d)):
+        # nan carries through both extremes and +-inf shows in one, so two
+        # finite extremes mean every sample is finite
+        peak, low = d.max(), d.min()
+        if not (np.isfinite(peak) and np.isfinite(low)):
             raise InvalidArgumentError("density must be finite")
-        peak = d.max()
         if peak <= 0.0:
             raise InvalidArgumentError("density must be positive somewhere")
-        if d.min() < -1e-9 * peak:
+        if low < -1e-9 * peak:
             raise InvalidArgumentError(
-                f"density has negative values down to {d.min()!r}")
-        d = np.where(d < 0.0, 0.0, d)
+                f"density has negative values down to {low!r}")
+        # a copy either way, which keeps -0.0 as the clamp does
+        d = np.where(d < 0.0, 0.0, d) if low < 0.0 else d.copy()
         integral = float(d.sum() * self.grid.dx)
         if abs(integral - 1.0) > 1e-6:
             raise InvalidArgumentError(
@@ -201,6 +208,18 @@ class _Plan(NamedTuple):
 _BLOCK = 64
 
 
+@lru_cache(maxsize=8)
+def _index_terms(grid: SpatialGrid, out_grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The direction-free terms of a plan between two grids, read-only: the
+    index squares j^2 for j = 0 .. max(N, M)-1 and the offset ramp
+    (n dx) x0 of the output's start x0 for n = 0 .. N-1."""
+    j2 = np.arange(max(grid.n_points, out_grid.n_points), dtype=float) ** 2
+    ramp = np.arange(grid.n_points, dtype=float) * grid.dx * out_grid.x_min
+    for v in (j2, ramp):
+        v.flags.writeable = False
+    return j2, ramp
+
+
 @lru_cache(maxsize=32)
 def _plan(grid: SpatialGrid, mu: float, nu: float, out_grid: SpatialGrid) -> _Plan:
     """Bluestein plan for dy sum_n v_n exp(i mu y_n^2/(2 nu) - i x_k y_n/nu).
@@ -212,17 +231,17 @@ def _plan(grid: SpatialGrid, mu: float, nu: float, out_grid: SpatialGrid) -> _Pl
     post_k = exp(-i(a k^2/2 + x_k y0/nu)) w, with w = dy/sqrt(2 pi |nu|),
     is conj(c_k) times the linear phase exp(-i x_k y0/nu) w, the outer
     product of short exponentials in q and r for k = _BLOCK q + r.  Only
-    ``pre`` and ``c`` are full-length exponentials.
+    ``pre`` and ``c`` are full-length exponentials; y_n^2, n^2 and the
+    ramp n dy x0 are the grids' own (see :func:`_index_terms`), so only
+    the phases that scale with the direction are formed here.
     """
     n_in, n_out = grid.n_points, out_grid.n_points
     a = grid.dx * out_grid.dx / nu
-    n = np.arange(n_in, dtype=float)
-    y = grid.points
-    pre = np.exp(1j * (mu * y ** 2 / (2.0 * nu) - n * grid.dx * out_grid.x_min / nu
-                       - 0.5 * a * n ** 2))
+    j2, ramp = _index_terms(grid, out_grid)
+    pre = np.exp(1j * (mu * grid._squares / (2.0 * nu) - ramp / nu - 0.5 * a * j2[:n_in]))
     # exp(i a j^2/2) at lags j = 0 .. M-1, then j = -(N-1) .. -1 wrapped;
     # a negative lag takes its absolute value's chirp
-    c = np.exp(0.5j * a * np.arange(max(n_in, n_out), dtype=float) ** 2)
+    c = np.exp(0.5j * a * j2)
     ker = np.zeros(1 << (n_in + n_out - 2).bit_length(), dtype=complex)
     ker[:n_out] = c[:n_out]
     ker[ker.size - n_in + 1:] = c[n_in - 1:0:-1]
@@ -354,17 +373,25 @@ def _check_norm(out: np.ndarray, density: np.ndarray, grid: SpatialGrid) -> None
         "the slice is narrower than the grid spacing, suggest a finer grid or a longer direction"))
 
 
-def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
-    """Tomographic density of mu*x + nu*p for a pure state: |psi|^2 at
-    (1, 0), elsewhere |F psi|^2 with the norm of F psi checked to 1e-8."""
+def _density(psi: WaveFunction, mu: float, nu: float) -> np.ndarray:
+    """The tomographic density of mu*x + nu*p for a pure state, not yet
+    admitted as a slice: |psi|^2 at (1, 0), elsewhere |F psi|^2 with the
+    norm of F psi checked to 1e-8 (see :func:`_check_norm`).  The direction
+    is checked first, as a slice checks it."""
     mu, nu = _direction(mu, nu)
-    grid = psi.grid
     if (mu, nu) == (1.0, 0.0):
-        return TomogramSlice(mu, nu, grid, psi.density())
-    out = _quadrature(psi.amplitudes, grid, mu, nu, grid)
+        return psi.density()
+    out = _quadrature(psi.amplitudes, psi.grid, mu, nu, psi.grid)
     density = np.abs(out) ** 2
-    _check_norm(out, density, grid)
-    return TomogramSlice(mu, nu, grid, density)
+    _check_norm(out, density, psi.grid)
+    return density
+
+
+def tomogram(psi: WaveFunction, mu: float, nu: float) -> TomogramSlice:
+    """Tomographic density of mu*x + nu*p for a pure state, admitted as a
+    slice at (mu, nu): the density of :func:`_density`, |psi|^2 at (1, 0)
+    and |F psi|^2 with its norm checked to 1e-8 elsewhere."""
+    return TomogramSlice(mu, nu, psi.grid, _density(psi, mu, nu))
 
 
 def _variance_row(mu: float, nu: float) -> tuple[float, float, float]:
@@ -398,8 +425,7 @@ def tomogram_gaussian(state: GaussianState, mu: float, nu: float,
         raise InvalidCovarianceError(
             f"quadrature variance {v!r} not positive at ({mu!r}, {nu!r})")
     _check_width(mu, nu, grid.dx, v, ResolutionError)
-    x = grid.points
-    density = np.exp(-x ** 2 / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+    density = np.exp(-grid._squares / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
     integral = float(density.sum() * grid.dx)
     check(abs(integral - 1.0), 1e-6, ResolutionError, lambda: "Gaussian slice with variance "
           f"{v!r} integrates to {integral!r} on this grid; widen the extent")
@@ -418,8 +444,7 @@ def sample_pure_gaussian(state: GaussianState, grid: SpatialGrid) -> WaveFunctio
             f"determinant {state.determinant!r} != 1/4: not a pure state")
     alpha = 1.0 / (2.0 * state.sigma_xx)
     beta = -state.sigma_xp / state.sigma_xx
-    x = grid.points
     with np.errstate(over="ignore", invalid="ignore"):  # exp(-inf + i nan) = 0
-        amps = np.exp(-0.5 * (alpha + 1j * beta) * x ** 2)
+        amps = np.exp(-0.5 * (alpha + 1j * beta) * grid._squares)
     _admit(amps, f"sample_pure_gaussian({state!r})")
     return WaveFunction(grid, amps)

@@ -387,3 +387,51 @@ def thermal_entropy(nbar):
         if k > 10 and terms[-1] < 1e-20:
             return math.fsum(terms)
         k += 1
+
+
+def admitted_density(density, n_points, dx):
+    """A slice's stored density by the seven-pass admission rule: float
+    conversion, shape, every sample finite, the peak positive, no sample
+    below -1e-9 of the peak, negatives clamped to 0 by ``np.where``, and
+    the integral within 1e-6 of 1.  A refusal raises ValueError with the
+    message the slice gives."""
+    d = np.asarray(density, dtype=float)
+    if d.shape != (n_points,):
+        raise ValueError(f"density must have shape ({n_points},), got {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("density must be finite")
+    peak = d.max()
+    if peak <= 0.0:
+        raise ValueError("density must be positive somewhere")
+    if d.min() < -1e-9 * peak:
+        raise ValueError(f"density has negative values down to {d.min()!r}")
+    d = np.where(d < 0.0, 0.0, d)
+    integral = float(d.sum() * dx)
+    if abs(integral - 1.0) > 1e-6:
+        raise ValueError(f"density integrates to {integral!r}, off 1 beyond 1e-6")
+    return d
+
+
+def bluestein_plan(grid, mu, nu, out_grid):
+    """The (pre, ker, post) vectors of a transform plan, every term formed
+    from the grids' parameters on each call: the input chirp
+    exp(i(mu y_n^2/(2 nu) - n dy x0/nu - a n^2/2)), the FFT of the wrapped
+    kernel chirp exp(i a j^2/2), and its conjugate times the output's
+    linear phase, as the outer product of 64-index blocks and offsets."""
+    n_in, n_out = grid.n_points, out_grid.n_points
+    a = grid.dx * out_grid.dx / nu
+    n = np.arange(n_in, dtype=float)
+    y = grid.x_min + grid.dx * np.arange(n_in)
+    pre = np.exp(1j * (mu * y ** 2 / (2.0 * nu) - n * grid.dx * out_grid.x_min / nu
+                       - 0.5 * a * n ** 2))
+    c = np.exp(0.5j * a * np.arange(max(n_in, n_out), dtype=float) ** 2)
+    ker = np.zeros(1 << (n_in + n_out - 2).bit_length(), dtype=complex)
+    ker[:n_out] = c[:n_out]
+    ker[ker.size - n_in + 1:] = c[n_in - 1:0:-1]
+    ker = np.fft.fft(ker)
+    slope = grid.x_min / nu
+    offsets = np.exp(-1j * slope * (out_grid.x_min + out_grid.dx * np.arange(64, dtype=float)))
+    offsets *= grid.dx / np.sqrt(2.0 * np.pi * abs(nu))
+    blocks = np.exp(-1j * (slope * 64 * out_grid.dx) * np.arange(-(-n_out // 64), dtype=float))
+    post = np.conj(c[:n_out]) * np.outer(blocks, offsets).ravel()[:n_out]
+    return pre, ker, post

@@ -506,6 +506,35 @@ def test_harmonic_history_matches_split_step_oracle(grid):
     assert np.max(np.abs(hist.density_at(0.7) - np.abs(want) ** 2)) < 1e-5
 
 
+@pytest.mark.parametrize("omega,times", [
+    (1.3, [0.0, 0.7, 0.5 * np.pi / 1.3, 2.0]),   # t = 0 and omega t = pi/2
+    (0.0, [0.0, 0.5, 1.5]),                     # free flight
+])
+def test_history_slices_are_the_tomograms_bit_for_bit(grid, omega, times):
+    psi = core.sample_state(core.GaussianPreset(0.4, -0.3, 0.8), grid)
+    hist = dynamics.harmonic_position_history(psi, times, omega)
+    for t in times:
+        phase = omega * t
+        nu = t * (np.sin(phase) / phase) if phase else t
+        want = transform.tomogram(psi, np.cos(phase), nu).density
+        assert hist.density_at(t).tobytes() == want.tobytes()
+
+
+def test_history_admits_each_slice_once(grid, vacuum, monkeypatch):
+    admitted = []
+    post_init = transform.TomogramSlice.__post_init__
+
+    def counted(self):
+        admitted.append((self.mu, self.nu))
+        post_init(self)
+
+    monkeypatch.setattr(transform.TomogramSlice, "__post_init__", counted)
+    times = [0.0, 0.3, 0.9, 1.7]
+    hist = dynamics.harmonic_position_history(vacuum, times, 1.1)
+    assert admitted == [(1.0, 0.0)] * len(times)
+    assert all(s.is_position for s in hist.slices)
+
+
 def test_harmonic_coherent_center_oscillates(grid):
     psi = core.sample_state(core.GaussianPreset(x0=1.0), grid)
     hist = dynamics.harmonic_position_history(psi, [np.pi / 2, np.pi])

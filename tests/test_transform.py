@@ -2,17 +2,19 @@ import dataclasses
 import inspect
 import sys
 import threading
+import warnings
 import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tomokit import completeness, core, dynamics, io, reconstruct, transform
 from tomokit.errors import (
     InvalidArgumentError,
     InvalidCovarianceError,
+    ModelMismatchError,
     ResolutionError,
 )
 from tomokit.transform import GaussianState, TomogramSlice
@@ -207,6 +209,70 @@ def test_plan_post_matches_the_decimal_phase(grid, vacuum, shape):
     assert np.max(np.abs(one_exp - want)) < bound
 
 
+def _plan_grids(shape, grid, vacuum):
+    if shape == "equal":
+        return grid, grid
+    if shape == "wider-output":
+        return grid, core.make_grid(-9.0, 11.0, 3000)
+    if shape == "short":
+        return core.make_grid(-3.0, 3.0, 40), core.make_grid(-2.0, 2.5, 37)
+    return transform._momentum(vacuum.amplitudes, grid, 4096)[1], grid
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.floats(-1.5, 1.5), nu=st.floats(0.05, 1.5), sign=st.sampled_from([1.0, -1.0]),
+       shape=st.sampled_from(["equal", "wider-output", "short", "momentum-samples"]),
+       cold=st.booleans())
+def test_plan_equals_the_per_call_plan_bit_for_bit(grid, vacuum, mu, nu, sign, shape, cold):
+    # the grid terms come from the grids' caches, warm or cold; the plan's
+    # bits are those of every term formed on each call
+    in_grid, out_grid = _plan_grids(shape, grid, vacuum)
+    if cold:
+        transform._index_terms.cache_clear()
+    got = transform._plan.__wrapped__(in_grid, mu, sign * nu, out_grid)
+    want = oracles.bluestein_plan(in_grid, mu, sign * nu, out_grid)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_grid_terms_are_read_only_and_rounded_once(grid):
+    assert grid._squares.tobytes() == (grid.points ** 2).tobytes()
+    assert grid._squares is grid._squares
+    j2, ramp = transform._index_terms(grid, core.make_grid(-9.0, 11.0, 3000))
+    assert j2.size == 3000 and ramp.size == grid.n_points
+    for v in (grid._squares, j2, ramp):
+        assert not v.flags.writeable
+
+
+def _huge_grid_gaussian(g):
+    with pytest.raises(ResolutionError, match="narrower than dx"):
+        transform.tomogram_gaussian(GaussianState(0.5, 0.5), 1.0, 0.0, g)
+
+
+def _huge_grid_variance(g):
+    flat = TomogramSlice(1.0, 0.0, g, np.full(g.n_points, 1.0 / (g.n_points * g.dx)))
+    assert completeness.slice_variance(flat) == np.inf
+
+
+def _huge_grid_ks_check(g):
+    flat = TomogramSlice(1.0, 0.0, g, np.full(g.n_points, 1.0 / (g.n_points * g.dx)))
+    with pytest.raises(ModelMismatchError, match="one that overflows: inf"):
+        completeness.covariance_from_tomograms(completeness.MeasurementSet((flat,)))
+
+
+@pytest.mark.parametrize("first", [_huge_grid_gaussian, _huge_grid_variance,
+                                   _huge_grid_ks_check, lambda g: g._squares],
+                         ids=["gaussian", "variance", "ks-check", "squares"])
+def test_grid_whose_squares_overflow_refuses_whichever_runs_first(first):
+    # pytest turns a numpy RuntimeWarning into an error; the squares are
+    # formed once, by whichever use comes first, and all are inf
+    g = core.make_grid(-1e200, 1e200, 2048)
+    first(g)
+    assert np.all(g._squares == np.inf)
+    for check in (_huge_grid_gaussian, _huge_grid_variance, _huge_grid_ks_check):
+        check(g)
+
+
 def test_cold_plan_evaluates_two_full_length_exponentials(grid):
     # the input chirp and the kernel chirp; the output vector reuses the
     # kernel chirp and adds a few short exponentials
@@ -356,6 +422,67 @@ def test_replaced_slice_runs_the_checks(grid):
     s = TomogramSlice(1.0, 0.0, grid, np.exp(-grid.points ** 2) / np.sqrt(np.pi))
     with pytest.raises(InvalidArgumentError, match="integrates to"):
         dataclasses.replace(s, density=2.0 * s.density)
+
+
+@pytest.mark.parametrize("factor", [1 + 0.5j, 1 + 0j])
+def test_slice_refuses_a_complex_density_without_a_warning(grid, vacuum, factor):
+    # converted to float, the imaginary part was dropped with only a
+    # ComplexWarning; any complex dtype is refused, a zero imaginary part too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="^density must be real$"):
+            TomogramSlice(1.0, 0.0, grid, vacuum.density() * factor)
+
+
+_ADMISSION_GRID = core.make_grid(-1.0, 1.0, 16)
+
+
+@st.composite
+def _admission_densities(draw):
+    """Densities on ``_ADMISSION_GRID`` at each branch of the admission
+    rule: normalised or with the integral off 1 within and beyond 1e-6, all
+    zero, and with up to three samples set to nan, +-inf, -0.0 or negatives
+    above and below -1e-9 of the peak."""
+    n, dx = _ADMISSION_GRID.n_points, _ADMISSION_GRID.dx
+    if draw(st.integers(0, 9)) == 0:
+        return np.zeros(n)
+    d = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if d.sum() > 0.0:
+        d /= d.sum() * dx
+    d *= draw(st.sampled_from([1.0, 1.0, 1.0 + 3e-7, 1.0 - 4e-6, 2.0]))
+    peak = d.max()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["nan", "inf", "-inf", "-0", "above", "below"]))
+        if kind == "above":    # clamped: at or above -1e-9 of the peak
+            d[i] = -draw(st.floats(0.0, 1e-9)) * peak
+        elif kind == "below":  # refused
+            d[i] = -draw(st.floats(1.01e-9, 1.0)) * peak
+        else:
+            d[i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "-0": -0.0}[kind]
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_admission_densities())
+@example(d=np.full(16, 1.0 / (16 * _ADMISSION_GRID.dx)) * np.r_[-0.0, np.ones(15)])
+@example(d=np.r_[np.nan, np.inf, np.zeros(14)])
+@example(d=np.r_[-np.inf, np.ones(15)])
+@example(d=np.zeros(16))
+def test_slice_admission_matches_the_seven_pass_rule(d):
+    try:
+        want = oracles.admitted_density(d.copy(), _ADMISSION_GRID.n_points,
+                                        _ADMISSION_GRID.dx)
+    except ValueError as exc:
+        with pytest.raises(InvalidArgumentError) as got:
+            TomogramSlice(1.0, 0.0, _ADMISSION_GRID, d)
+        assert type(got.value) is InvalidArgumentError
+        assert str(got.value) == str(exc)
+        return
+    s = TomogramSlice(1.0, 0.0, _ADMISSION_GRID, d)
+    # the sign of a zero counts
+    assert np.array_equal(s.density.view(np.int64), want.view(np.int64))
+    assert not np.shares_memory(s.density, d)
 
 
 def test_slice_rejects_null_direction(grid):
