@@ -5,6 +5,8 @@ phases from a slice bundle, evolve the classical oscillator pair (with
 optional initial-tomogram recovery), and measure completeness of a slice
 set.  Slices and trajectories are CSV, reports and manifests JSON; every
 failure exits nonzero with a single "ERROR <code>: ..." line on stderr.
+Each verb returns its output files and manifest items without writing
+anything; :func:`main` publishes them through :func:`_publish`.
 Each flag is validated once, by its ``type=`` callable in :func:`build_parser`.
 """
 
@@ -136,16 +138,16 @@ def _resolve_state(spec: str | None,
         "fock:n) nor an existing file")
 
 
-def _publish(outdir: str, files: dict, command: str | None = None, extra=()) -> None:
+def _publish(outdir: str, files: dict, manifest: dict | None) -> None:
     """Create ``outdir``, write each ``name: (writer, value)`` into it and,
-    given a command, the manifest of those files plus the ``extra`` items.
+    given ``manifest`` items, the manifest of those files with the items.
     An output name taken by a directory is refused before the first write."""
 
     def refuse(path, reason):
         raise InvalidArgumentError(f"output file {path!r} cannot be "
                                    f"written: {reason}") from None
 
-    for name in [*files, *(["manifest.json"] if command is not None else [])]:
+    for name in [*files, *(["manifest.json"] if manifest is not None else [])]:
         path = os.path.join(outdir, name)
         if os.path.isdir(path):
             refuse(path, os.strerror(errno.EISDIR))
@@ -166,12 +168,11 @@ def _publish(outdir: str, files: dict, command: str | None = None, extra=()) -> 
 
     for name, (write, value) in files.items():
         put(name, write, value)
-    if command is not None:
+    if manifest is not None:
         put("manifest.json", io.write_json, {
-            "command": command,
+            **manifest,
             "files": {n: io.sha256_of(os.path.join(outdir, n)) for n in sorted(files)},
-            "created_at": datetime.now(timezone.utc).isoformat(),
-            **dict(extra)})
+            "created_at": datetime.now(timezone.utc).isoformat()})
 
 
 def _noisy(s: transform.TomogramSlice, rel: float, seed: int,
@@ -187,7 +188,7 @@ def _noisy(s: transform.TomogramSlice, rel: float, seed: int,
     return transform.TomogramSlice(s.mu, s.nu, s.grid, d / integral)
 
 
-def cmd_simulate(args: argparse.Namespace) -> None:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     if not args.direction:
         raise InvalidArgumentError("simulate needs at least one --direction")
     psi = _resolve_state(args.state, args.grid)
@@ -196,8 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         s = transform.tomogram(psi, mu, nu)
         slices[f"slice_{i:03d}.csv"] = (io.write_slice_csv, (
             _noisy(s, args.noise, args.seed, i) if args.noise > 0.0 else s))
-    _publish(args.out, slices, "simulate", {
-        "directions": [[float(m), float(n)] for m, n in args.direction]})
+    return slices, {"directions": [[float(m), float(n)] for m, n in args.direction]}
 
 
 def _load_slices(directory: str) -> list[transform.TomogramSlice]:
@@ -206,7 +206,7 @@ def _load_slices(directory: str) -> list[transform.TomogramSlice]:
     return [io.read_slice_csv(os.path.join(directory, n)) for n in names]
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> None:
+def cmd_reconstruct(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import reconstruct
     slices = _load_slices(args.in_dir)
     position = next((s for s in slices if s.is_position), None)
@@ -225,9 +225,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
         else:
             result = reconstruct.recover_phases_piecewise(bps, position, extras)
     except (InsufficientDataError, InconsistentTomogramsError) as exc:
-        _publish(args.out, {"reconstruction.json": (io.write_json, {
+        # the refusal still writes its status report, which main publishes
+        exc.outputs = {"reconstruction.json": (io.write_json, {
             "phases": [], "residual": None, "condition_estimate": None,
-            "status": exc.code})})
+            "status": exc.code})}
         raise
     payload = {"phases": [float(p) for p in result.phases],
                "residual": result.residual,
@@ -243,50 +244,40 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
             position.grid)
         # both states have unit norm, so an excess over 1 is roundoff
         payload["fidelity"] = min(1.0, float(abs(truth.inner(rebuilt)) ** 2))
-    _publish(args.out, {"reconstruction.json": (io.write_json, payload)}, "reconstruct")
+    return {"reconstruction.json": (io.write_json, payload)}, {}
 
 
-def _recovery_request(args: argparse.Namespace):
-    """Check a --recover-at request before anything is integrated or
-    written; returns (omega, initial state, sorted distinct times).
-
-    Recovery builds the position history from transform slices of the
-    initial state, which needs constant frequency and no driving force.
-    """
-    if args.omega.name != "constant":
-        raise UnsupportedError(
-            "--recover-at supports only a constant --omega preset")
-    if args.force.name != "constant" or any(p != 0.0 for p in args.force.params):
-        raise UnsupportedError("--recover-at supports only zero --force")
-    times = sorted(set(args.recover_at))
-    if not all(0.0 <= t <= args.t_max for t in times):
-        raise OutOfRangeError(
-            f"--recover-at times must lie in [0, {args.t_max!r}]")
-    psi = _resolve_state(args.state, args.grid)
-    return args.omega.params[0], psi, times
-
-
-def cmd_evolve(args: argparse.Namespace) -> None:
+def cmd_evolve(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import dynamics
     spec = dynamics.OscillatorSpec(args.omega, args.force, args.t_max, args.dt)
     if not args.recover_at and (args.state, args.grid) != (None, None):
         raise InvalidArgumentError("--state and --grid only serve --recover-at")
-    recovery = _recovery_request(args) if args.recover_at else None
+    if args.recover_at:
+        # Checked before anything is integrated: recovery builds the position
+        # history from transform slices of the initial state, which needs
+        # constant frequency and no driving force.
+        if args.omega.name != "constant":
+            raise UnsupportedError("--recover-at supports only a constant --omega preset")
+        if args.force.name != "constant" or any(p != 0.0 for p in args.force.params):
+            raise UnsupportedError("--recover-at supports only zero --force")
+        times = sorted(set(args.recover_at))
+        if not all(0.0 <= t <= args.t_max for t in times):
+            raise OutOfRangeError(f"--recover-at times must lie in [0, {args.t_max!r}]")
+        psi = _resolve_state(args.state, args.grid)
     traj = dynamics.solve_epsilon_delta(spec)
     files = {"trajectory.csv": (io.write_trajectory_csv, traj)}
     recovered = []
-    if recovery is not None:
-        omega_value, psi, times = recovery
-        history = dynamics.harmonic_position_history(psi, times, omega_value)
+    if args.recover_at:
+        history = dynamics.harmonic_position_history(psi, times, args.omega.params[0])
         for i, t in enumerate(times):
             name = f"recovered_{i:03d}.csv"
             files[name] = (io.write_slice_csv,
                            dynamics.initial_tomogram_from_oscillator(history, traj, t))
             recovered.append({"file": name, "time": t})
-    _publish(args.out, files, "evolve", {"recovered": recovered})
+    return files, {"recovered": recovered}
 
 
-def cmd_measure(args: argparse.Namespace) -> None:
+def cmd_measure(args: argparse.Namespace) -> tuple[dict, dict]:
     from . import completeness
     slices = _load_slices(args.in_dir)
     if not slices:
@@ -294,7 +285,7 @@ def cmd_measure(args: argparse.Namespace) -> None:
     report = completeness.gaussian_completeness(
         completeness.MeasurementSet(tuple(slices)),
         purity_assumed=args.assume_pure)
-    _publish(args.out, {"completeness.json": (io.write_json, report.payload())}, "measure")
+    return {"completeness.json": (io.write_json, report.payload())}, {}
 
 
 def build_parser() -> _Parser:
@@ -371,7 +362,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            args.handler(args)
+            try:
+                files, items = args.handler(args)
+            except TomokitError as exc:
+                if hasattr(exc, "outputs"):  # a refusal that still writes: no manifest
+                    _publish(args.out, exc.outputs, None)
+                raise
+            _publish(args.out, files, {"command": args.command, **items})
         except MemoryError as exc:
             detail = f": {exc}" if str(exc) else ""
             raise InvalidArgumentError(

@@ -333,7 +333,7 @@ class PositionHistory:
 
     All slices must be position tomograms ((mu, nu) = (1, 0) to 1e-12) on
     one shared grid, at strictly increasing times.  ``times`` is a
-    read-only copy and ``slices`` a tuple.
+    read-only copy, ``slices`` a tuple and ``grid`` their shared grid.
     """
 
     def __init__(self, times, slices: Sequence[TomogramSlice]):
@@ -351,11 +351,7 @@ class PositionHistory:
                 raise InvalidArgumentError("history slices must share one grid")
         self.times = t
         self.slices = tuple(slices)
-        self._grid = grid
-
-    @property
-    def grid(self) -> SpatialGrid:
-        return self._grid
+        self.grid = grid
 
     def density_at(self, t: float) -> np.ndarray:
         """Position density recorded at time t, matched to 1e-12 relative;

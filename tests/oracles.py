@@ -70,6 +70,25 @@ def hermite_psi(n, x):
     return np.exp(lognorm - 0.5 * x ** 2) * eval_hermite(n, x)
 
 
+def hermite_tomogram(coeffs, mu, nu, X, reach=9.0):
+    """Slice density at (mu, nu), on the points X, of the normalised state
+    sum_n c_n |n>, by direct quadrature of its closed form on [-reach, reach]
+    (the default holds every n <= 6 to below 1e-12 of its peak).
+
+    For |nu| > |mu| the position amplitudes sum_n c_n h_n(x) are
+    transformed at (mu, nu); otherwise the momentum amplitudes
+    sum_n c_n (-i)^n h_n(k) at (nu, -mu), as the Fourier transform maps
+    (x, p) to (p, -x).  The quadrature points are spaced at pi/(2 r), r the
+    largest rate |a y - X|/|b| of the kernel at (a, b): twice as fine as
+    Nyquist asks.
+    """
+    a, b, turn = (mu, nu, 1.0) if abs(nu) > abs(mu) else (nu, -mu, -1j)
+    rate = (abs(a) * reach + np.max(np.abs(X))) / abs(b)
+    y = np.linspace(-reach, reach, int(np.ceil(4.0 * reach * rate / np.pi)) + 1)
+    amps = sum(cn * turn ** n * hermite_psi(n, y) for n, cn in enumerate(coeffs))
+    return np.abs(direct_transform(amps, y, a, b, X)) ** 2 / np.sum(np.abs(coeffs) ** 2)
+
+
 def gaussian_slice_density(sigma_xx, sigma_pp, sigma_xp, mu, nu, X):
     v = sigma_xx * mu ** 2 + 2.0 * sigma_xp * mu * nu + sigma_pp * nu ** 2
     return np.exp(-X ** 2 / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)

@@ -33,6 +33,19 @@ def hermite_coefficients(draw, n_max=6):
     return c
 
 
+@st.composite
+def simulate_runs(draw):
+    """One ``simulate`` run of a state file, as a dict: the ``coefficients``
+    of a Hermite superposition (see :func:`hermite_coefficients`), a
+    ``grid`` (x_min, x_max, n_points) of 64-512 points whose ends lie 9-16
+    from 0, where every such state is below 1e-12 of its peak, and 1-3
+    ``directions`` (see :func:`directions`), near-axis ones included."""
+    return {"coefficients": draw(hermite_coefficients()),
+            "grid": (-draw(st.floats(9.0, 16.0)), draw(st.floats(9.0, 16.0)),
+                     draw(st.integers(64, 512))),
+            "directions": draw(st.lists(directions(), min_size=1, max_size=3))}
+
+
 # Unit directions along six lines at least 0.5 rad apart, each with the
 # variants that share its line: both signs, and for position and momentum
 # either sign of the zero component, whose variance rows differ in the sign

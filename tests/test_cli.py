@@ -911,20 +911,116 @@ def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):
     assert "cannot be created" in line
 
 
-def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys):
+# each verb's flags before --out, and one of the outputs it writes; the
+# --in directories hold vacuum slices at (1, 0), (0, 1) and (0.6, 0.8)
+_VERB_OUTPUT = {
+    "simulate": (["simulate", "--state=vacuum", "--grid=-12,12,256", "--direction=1,0",
+                  "--direction=0.6,0.8"], "slice_001.csv"),
+    "evolve": (["evolve", "--omega=constant:1", "--t-max=1", "--dt=0.01", "--state=vacuum",
+                "--grid=-12,12,256", "--recover-at=0,1"], "recovered_001.csv"),
+    "measure": (["measure", "--in={sim}", "--assume-pure"], "completeness.json"),
+    "reconstruct": (["reconstruct", "--in={sim}"], "reconstruction.json"),
+}
+
+
+@pytest.mark.parametrize("verb", list(_VERB_OUTPUT))
+def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys, verb):
     # every name, the manifest's included, is checked before the first write
-    for taken, directions in [("manifest.json", ["--direction=1,0"]),
-                              ("slice_001.csv", ["--direction=1,0",
-                                                 "--direction=0.6,0.8"])]:
+    sim = tmp_path / "sim"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.0, 1.0), (0.6, 0.8)) == 0
+    argv, own = _VERB_OUTPUT[verb]
+    for taken in ("manifest.json", own):
         out = tmp_path / taken
         (out / taken).mkdir(parents=True)
-        rc = run("simulate", "--state=vacuum", "--grid=-12,12,256",
-                 *directions, f"--out={out}")
-        assert rc == 2
+        capsys.readouterr()
+        assert run(*[a.format(sim=sim) for a in argv], f"--out={out}") == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line == (f"ERROR invalid-argument: output file {str(out / taken)!r} "
                         f"cannot be written: {os.strerror(errno.EISDIR)}")
         assert os.listdir(out) == [taken]
+
+
+def test_reconstruct_refusal_report_meets_a_taken_name(tmp_path, capsys):
+    # the refusal writes its status report and no manifest: a directory in
+    # the report's place is the publish error, one in the manifest's is not
+    pos = tmp_path / "pos"
+    assert simulate_vacuum(pos, (1.0, 0.0)) == 0
+    report, manifest = tmp_path / "report", tmp_path / "manifest"
+    (report / "reconstruction.json").mkdir(parents=True)
+    (manifest / "manifest.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert run("reconstruct", f"--in={pos}", "--breakpoints=0", f"--out={report}") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"ERROR invalid-argument: output file "
+                    f"{str(report / 'reconstruction.json')!r} cannot be written: "
+                    f"{os.strerror(errno.EISDIR)}")
+    assert os.listdir(report) == ["reconstruction.json"]
+    assert run("reconstruct", f"--in={pos}", "--breakpoints=0", f"--out={manifest}") == 5
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR insufficient-data: ")
+    assert sorted(os.listdir(manifest)) == ["manifest.json", "reconstruction.json"]
+    assert (manifest / "manifest.json").is_dir()
+    assert json.loads((manifest / "reconstruction.json").read_text())["status"] == (
+        "insufficient-data")
+
+
+@pytest.mark.parametrize("argv, status, published", [
+    (_VERB_OUTPUT["simulate"][0], 0,
+     [(["slice_000.csv", "slice_001.csv"],
+       {"command": "simulate", "directions": [[1.0, 0.0], [0.6, 0.8]]})]),
+    (_VERB_OUTPUT["evolve"][0], 0,
+     [(["recovered_000.csv", "recovered_001.csv", "trajectory.csv"],
+       {"command": "evolve", "recovered": [{"file": "recovered_000.csv", "time": 0.0},
+                                           {"file": "recovered_001.csv", "time": 1.0}]})]),
+    (_VERB_OUTPUT["measure"][0], 0, [(["completeness.json"], {"command": "measure"})]),
+    (_VERB_OUTPUT["reconstruct"][0], 0,
+     [(["reconstruction.json"], {"command": "reconstruct"})]),
+    # the one refusal that writes: its status report, with no manifest
+    (["reconstruct", "--in={pos}", "--breakpoints=0"], 5, [(["reconstruction.json"], None)]),
+    (["simulate", "--state=vacuum", "--direction=1e-6,0"], 4, []),
+    (["evolve", "--omega=linear-ramp:1,1", "--t-max=1", "--dt=0.01", "--recover-at=0"], 2, []),
+    (["measure", "--in={sim}"], 2, []),
+    (["reconstruct", "--in={sim}", "--method=piecewise"], 2, []),
+])
+def test_main_publishes_once_per_run(tmp_path, monkeypatch, argv, status, published):
+    sim, pos, out = tmp_path / "sim", tmp_path / "pos", tmp_path / "out"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.0, 1.0), (0.6, 0.8)) == 0
+    assert simulate_vacuum(pos, (1.0, 0.0)) == 0
+    calls, publish = [], cli._publish
+
+    def spy(outdir, files, manifest):
+        calls.append((outdir, sorted(files), manifest))
+        publish(outdir, files, manifest)
+
+    monkeypatch.setattr(cli, "_publish", spy)
+    assert run(*[a.format(sim=sim, pos=pos) for a in argv], f"--out={out}") == status
+    assert calls == [(str(out), *call) for call in published]
+    assert out.exists() == bool(published)
+
+
+@pytest.mark.parametrize("verb", list(_VERB_OUTPUT))
+def test_verbs_return_their_outputs_and_write_nothing(tmp_path, verb):
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert simulate_vacuum(sim, (1.0, 0.0), (0.0, 1.0), (0.6, 0.8)) == 0
+    argv, own = _VERB_OUTPUT[verb]
+    args = cli.build_parser().parse_args([*(a.format(sim=sim) for a in argv),
+                                          f"--out={out}"])
+    files, items = args.handler(args)
+    assert own in files and "command" not in items
+    assert not out.exists()
+
+
+def test_reconstruct_refusal_carries_its_report_and_writes_nothing(tmp_path):
+    pos, out = tmp_path / "pos", tmp_path / "out"
+    assert simulate_vacuum(pos, (1.0, 0.0)) == 0
+    args = cli.build_parser().parse_args(["reconstruct", f"--in={pos}", "--breakpoints=0",
+                                          f"--out={out}"])
+    with pytest.raises(errors.InsufficientDataError) as refused:
+        args.handler(args)
+    [(name, (write, report))] = refused.value.outputs.items()
+    assert (name, write, report["status"]) == ("reconstruction.json", io.write_json,
+                                               "insufficient-data")
+    assert not out.exists()
 
 
 def test_simulate_slice_narrower_than_grid_spacing_exits_4(tmp_path, capsys):
